@@ -1,8 +1,11 @@
 """trusskit: finite heaps, trusses, braces and their extensions.
 
 Everything is a small operation table over indices 0..n-1, every axiom is
-checked by brute force (exhaustively at desk scale, on seeded samples above),
-and every structural claim ships with the check that verifies it.
+checked exhaustively at every order, and every structural claim ships with
+the check that verifies it.  Distributivity-type laws say that rows of a
+table are heap morphisms, and a heap morphism is an affine map of retracts,
+so those checks need only a generating set of the retract (n^2 log n
+comparisons instead of n^4).
 """
 
 from .lawcheck import Check, ConsistencyError, Report, ValidationError

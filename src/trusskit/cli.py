@@ -13,8 +13,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import jsonio
 from .braces import Brace, brace_from_truss, brace_law_report, socle
 from .catalog import (
@@ -95,7 +93,6 @@ def _validation_report(doc):
         if kind == "heap":
             g = AbGroup(doc["add"], labels=doc.get("labels"), check=False)
             h = heap_from_group(g)
-            report.extend(g.law_report())
             report.extend(heap_law_report(h))
             return report, h
         if kind == "truss":
@@ -147,8 +144,7 @@ def cmd_scan_units(args):
     n_max = args.max
     if n_max > 64:
         raise SystemExit("scan bound is 64")
-    report = Report("units paragon scan n = 2..%d" % n_max,
-                    seed=args.seed, samples=args.samples)
+    report = Report("units paragon scan n = 2..%d" % n_max)
     from .trusses import units_paragon_report
 
     hits = []
@@ -204,8 +200,7 @@ def cmd_quotient(args):
     if not isinstance(t, Truss):
         raise SystemExit("quotient needs a truss file")
     members = _parse_subset(t, args.subset)
-    report = Report("quotient by %s" % (tuple(members),),
-                    seed=args.seed, samples=args.samples)
+    report = Report("quotient by %s" % (tuple(members),))
     result = is_paragon(t, members)
     report.add("subset_is_paragon (%s)" % result.kind, result.is_paragon,
                None if not result.failures else next(iter(result.failures.values())))
@@ -227,7 +222,7 @@ def cmd_brace(args):
     obj = jsonio.read_file(args.file)
     if isinstance(obj, ExtTruss):
         obj = obj.truss
-    report = Report("brace bridge", seed=args.seed, samples=args.samples)
+    report = Report("brace bridge")
     if isinstance(obj, Truss):
         b = brace_from_truss(obj)
         report.add("truss_is_brace_type", True)
@@ -285,15 +280,14 @@ def _abgroup_from_spec(spec):
 def cmd_catalog(args):
     family = args.family
     params = args.params
-    report = Report("catalog %s %s" % (family, " ".join(params)),
-                    seed=args.seed, samples=args.samples)
+    report = Report("catalog %s %s" % (family, " ".join(params)))
     if family == "zn":
         t = zn_truss(int(params[0]))
-        report.extend(truss_law_report(t, samples=args.samples, seed=args.seed))
+        report.extend(truss_law_report(t))
         return report, {"truss": t}
     if family == "za":
         t = za_truss(int(params[0]), int(params[1]), seed=args.seed)
-        report.extend(truss_law_report(t, samples=args.samples, seed=args.seed))
+        report.extend(truss_law_report(t))
         return report, {"truss": t}
     if family == "group-ring":
         gr = group_ring(zn_ring(int(params[0])), group_from_spec(params[1]))
@@ -301,7 +295,7 @@ def cmd_catalog(args):
         return report, {"truss": gr.ring.truss()}
     if family == "trunc-poly":
         tp = trunc_poly_truss(int(params[0]), int(params[1]))
-        report.extend(truss_law_report(tp.truss, samples=args.samples, seed=args.seed))
+        report.extend(truss_law_report(tp.truss))
         inverses_ok = all(
             int(tp.truss.mul[p, tp.inverse(p)]) == tp.truss.identity
             for p in range(tp.order)
@@ -312,7 +306,7 @@ def cmd_catalog(args):
     if family == "end":
         ext = end_truss(_abgroup_from_spec(params[0]))
         report.add("evaluation_extension_product_formula", True)
-        report.extend(truss_law_report(ext.truss, samples=args.samples, seed=args.seed))
+        report.extend(truss_law_report(ext.truss))
         return report, {"truss": ext}
     raise SystemExit("unknown catalog family %r "
                      "(families: zn, za, group-ring, trunc-poly, end)" % family)
@@ -330,7 +324,6 @@ def _emit(args, report, artifacts):
     doc = {
         "command": args.echo,
         "seed": args.seed,
-        "samples": args.samples,
         "structures": {
             name: _structure_summary(obj) for name, obj in sorted(artifacts.items())
         },
@@ -341,7 +334,7 @@ def _emit(args, report, artifacts):
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         lines = ["command: %s" % " ".join(args.echo),
-                 "seed: %d  samples: %d" % (args.seed, args.samples)]
+                 "seed: %d" % args.seed]
         for name, summary in sorted(doc["structures"].items()):
             lines.append("structure %s: %s" % (name, json.dumps(summary, sort_keys=True)))
         lines.extend(report.lines())
@@ -354,9 +347,8 @@ def build_parser():
         prog="trusskit",
         description="finite heaps, trusses, braces: construction and brute-force verification",
     )
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    parser.add_argument("--samples", type=int, default=10000,
-                        help="sample count for laws beyond the exhaustive cutoff")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the integer probe of 'catalog za' (default 0)")
     parser.add_argument("--json", dest="json_out", metavar="PATH",
                         help="write the principal structure as JSON to PATH")
     parser.add_argument("--format", choices=("table", "json"), default="table")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heaps import product_heap, subheap_relation_classes
+from .heaps import morphism_witness, product_heap, subheap_relation_classes
 from .lawcheck import (
     ConsistencyError,
     Report,
@@ -108,10 +108,7 @@ def anchor_iso(ext, e2):
     t1, t2 = ext.truss, ext2.truss
     if grid_witness(phi[t1.mul], t2.mul[phi[:, None], phi[None, :]]) is not None:
         raise ConsistencyError("anchor change is not multiplicative")
-    idx = np.arange(n * m)
-    lhs = phi[t1.bracket_arrays(idx[:, None, None], idx[None, :, None], idx[None, None, :])]
-    rhs = t2.bracket_arrays(phi[:, None, None], phi[None, :, None], phi[None, None, :])
-    if grid_witness(lhs, rhs) is not None:
+    if morphism_witness(phi, t1.heap, t2.heap) is not None:
         raise ConsistencyError("anchor change is not a heap morphism")
     return ext2, phi
 
@@ -179,10 +176,7 @@ def fiber_paragon(ext, a):
             iso[cls] = firsts.pop()
         if grid_witness(iso[quotient.mul], ext.base.mul[iso[:, None], iso[None, :]]) is not None:
             raise ConsistencyError("fiber quotient is not isomorphic to the base")
-        idx = np.arange(n)
-        lhs = iso[quotient.bracket_arrays(idx[:, None, None], idx[None, :, None], idx[None, None, :])]
-        rhs = ext.base.bracket_arrays(iso[:, None, None], iso[None, :, None], iso[None, None, :])
-        if grid_witness(lhs, rhs) is not None:
+        if morphism_witness(iso, quotient.heap, ext.base.heap) is not None:
             raise ConsistencyError("fiber quotient bracket differs from the base bracket")
         return result.paragon, quotient, proj, iso
     return result.paragon, None, None, None
@@ -218,11 +212,7 @@ def base_subtruss(ext):
         if len(seconds) != 1:
             raise ConsistencyError("T x {e} class mixes module elements")
         iso[cls] = seconds.pop()
-    # heap morphism
-    idx = np.arange(m)
-    lhs = iso[qmod.heap.bracket_arrays(idx[:, None, None], idx[None, :, None], idx[None, None, :])]
-    rhs = ext.module.heap.bracket_arrays(iso[:, None, None], iso[None, :, None], iso[None, None, :])
-    if grid_witness(lhs, rhs) is not None:
+    if morphism_witness(iso, qmod.heap, ext.module.heap) is not None:
         raise ConsistencyError("quotient-by-base is not heap-isomorphic to M")
     # equivariance against the extension action on M
     ext_mod = module_over_extension(ext)
@@ -240,10 +230,8 @@ def split_sequence_check(ext, a):
     n, m = ext.base.order, ext.m
     report = Report("split sequence at fiber %d" % a)
     emb = np.array([ext.pair(a, x) for x in range(m)])
-    idx_m = np.arange(m)
-    lhs = ext.truss.bracket_arrays(emb[:, None, None], emb[None, :, None], emb[None, None, :])
-    rhs = emb[ext.module.heap.bracket_arrays(idx_m[:, None, None], idx_m[None, :, None], idx_m[None, None, :])]
-    report.add("fiber_embedding_is_heap_morphism", grid_witness(lhs, rhs) is None)
+    report.add("fiber_embedding_is_heap_morphism",
+               morphism_witness(emb, ext.module.heap, ext.truss.heap) is None)
     report.add("fiber_embedding_injective", len(set(emb.tolist())) == m)
 
     sec = np.array([ext.pair(t, ext.anchor) for t in range(n)])
@@ -252,9 +240,8 @@ def split_sequence_check(ext, a):
         "section_multiplicative",
         grid_witness(ext.truss.mul[sec[:, None], sec[None, :]], sec[ext.base.mul]) is None,
     )
-    lhs = ext.truss.bracket_arrays(sec[:, None, None], sec[None, :, None], sec[None, None, :])
-    rhs = sec[ext.base.bracket_arrays(idx_n[:, None, None], idx_n[None, :, None], idx_n[None, None, :])]
-    report.add("section_heap_morphism", grid_witness(lhs, rhs) is None)
+    report.add("section_heap_morphism",
+               morphism_witness(sec, ext.base.heap, ext.truss.heap) is None)
     report.add("section_injective", len(set(sec.tolist())) == n)
 
     pi = np.array([ext.unpair(i)[0] for i in range(n * m)])
@@ -262,10 +249,8 @@ def split_sequence_check(ext, a):
         "projection_multiplicative",
         grid_witness(pi[ext.truss.mul], ext.base.mul[pi[:, None], pi[None, :]]) is None,
     )
-    idx = np.arange(n * m)
-    lhs = pi[ext.truss.bracket_arrays(idx[:, None, None], idx[None, :, None], idx[None, None, :])]
-    rhs = ext.base.bracket_arrays(pi[:, None, None], pi[None, :, None], pi[None, None, :])
-    report.add("projection_heap_morphism", grid_witness(lhs, rhs) is None)
+    report.add("projection_heap_morphism",
+               morphism_witness(pi, ext.truss.heap, ext.base.heap) is None)
     report.add("projection_surjective", len(set(pi.tolist())) == n)
     report.add("projection_section_is_identity", bool((pi[sec] == idx_n).all()))
 

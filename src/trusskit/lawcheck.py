@@ -1,10 +1,11 @@
 """Shared law-checking machinery.
 
-Every structure in this library is a finite operation table, so every axiom
-can be checked either exhaustively or on a seeded random sample of argument
-tuples.  This module holds the common pieces: the error types, the
-``Check``/``Report`` records that validators and the CLI emit, and the
-index-sampling helpers.
+Every structure in this library is a finite operation table, and every axiom
+is checked exhaustively.  Associativity is checked row by row; the
+distributivity-type laws reduce to "this row is a heap morphism", which
+``heaps.morphism_witness`` decides on a generating set of a retract.  This
+module holds the common pieces: the error types, the ``Check``/``Report``
+records that validators and the CLI emit, and the witness helpers.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-DEFAULT_SAMPLES = 10_000
-DEFAULT_SEED = 0
 
 
 class ValidationError(ValueError):
@@ -130,12 +128,6 @@ class Report:
         return "\n".join(self.lines())
 
 
-def index_tuples(sizes, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
-    """Seeded random index tuples, one array per argument position."""
-    rng = np.random.default_rng(seed)
-    return tuple(rng.integers(0, s, size=samples, dtype=np.int64) for s in sizes)
-
-
 def grid_witness(lhs, rhs):
     """First mismatch position of two equal-shape grids, or None.
 
@@ -147,11 +139,16 @@ def grid_witness(lhs, rhs):
         return None
     return tuple(int(v) for v in np.argwhere(diff)[0])
 
-def sample_witness(lhs, rhs, idx):
-    """First mismatch of two flat sampled arrays, reported as argument values."""
-    diff = np.asarray(lhs).ravel() != np.asarray(rhs).ravel()
-    bad = np.flatnonzero(diff)
-    if bad.size == 0:
-        return None
-    j = int(bad[0])
-    return tuple(int(axis[j]) for axis in idx)
+
+def associativity_witness(mul, act):
+    """First (s, t, x) with s(tx) != (st)x, or None.
+
+    ``mul`` is a k x k multiplication and ``act`` a k x m table of its action
+    (``act = mul`` checks ``mul`` itself).  One row s at a time, so no array
+    larger than k * m is built.
+    """
+    for s in range(len(mul)):
+        w = grid_witness(act[s][act], act[mul[s]])
+        if w is not None:
+            return (s,) + w
+    return None

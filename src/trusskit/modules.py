@@ -16,35 +16,29 @@ from __future__ import annotations
 import numpy as np
 
 from .heaps import (
-    Heap,
     SubHeap,
     _norm_labels,
+    morphism_witness,
     product_heap,
     quotient_heap,
     subheap_relation_classes,
 )
 from .lawcheck import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     ConsistencyError,
     Report,
     ValidationError,
+    associativity_witness,
     grid_witness,
-    index_tuples,
-    sample_witness,
 )
-from .trusses import TWO_SIDED, Truss
+from .trusses import TWO_SIDED
 
 CONGRUENCE_MAX_ORDER = 8
-# Exhaustive module-law scans as long as the largest scan stays at desk scale.
-MODULE_EXHAUSTIVE_WORK = 50_000_000
 
 
 class TModule:
     """Left module over a truss: heap carrier plus an action table (t, x) -> t.x."""
 
-    def __init__(self, truss, heap, action, labels=None,
-                 samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, check=True):
+    def __init__(self, truss, heap, action, labels=None, check=True):
         self.truss = truss
         self.heap = heap
         action = np.ascontiguousarray(action, dtype=np.int64)
@@ -58,7 +52,7 @@ class TModule:
         self.order = heap.order
         self.labels = _norm_labels(labels, self.order) or heap.labels
         if check:
-            module_law_report(self, samples=samples, seed=seed).raise_invalid()
+            module_law_report(self).raise_invalid()
         self.unital = (
             truss.identity is not None
             and bool((action[truss.identity] == np.arange(heap.order)).all())
@@ -74,76 +68,32 @@ class TModule:
         return "TModule(truss_order=%d, order=%d)" % (self.truss.order, self.order)
 
 
-def module_law_report(mod, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
-    """Action associativity and distributivity over both brackets.
+def module_law_report(mod, seed=None):
+    """Action associativity and distributivity over both brackets, exhaustively.
 
-    The truss-side bracket law is skipped for left trusses, where it is not
-    part of the definition.
+    Distributivity over the carrier's bracket says each row x -> t.x of the
+    action is a heap morphism M -> M; over the truss's bracket, each column
+    t -> t.x is a heap morphism T -> M.  ``morphism_witness`` decides both;
+    the witnesses are the failing law instances (t, x, e, y) and
+    (s, e, t, x).  The truss-side law is skipped for left trusses, where it
+    is not part of the definition.  ``seed`` is accepted and ignored, since
+    nothing is sampled.
     """
     t, m = mod.truss.order, mod.order
     act = mod.action
-    mul = mod.truss.mul
-    br_t = mod.truss.bracket_arrays
-    br_m = mod.heap.bracket_arrays
-    report = Report("module laws (truss %d on carrier %d)" % (t, m),
-                    seed=seed, samples=samples)
+    report = Report("module laws (truss %d on carrier %d)" % (t, m))
     if m == 0:
         report.note("empty carrier: laws hold vacuously")
         return report
-    idx_t = np.arange(t)
-    idx_m = np.arange(m)
-
-    w = grid_witness(
-        act[idx_t[:, None, None], act[idx_t[None, :, None], idx_m[None, None, :]]],
-        act[mul[idx_t[:, None], idx_t[None, :]][:, :, None], idx_m[None, None, :]],
-    )
+    w = associativity_witness(mod.truss.mul, act)
     report.add("module.associative", w is None, w)
-
     if mod.truss.sided == TWO_SIDED:
-        if t ** 3 * m <= MODULE_EXHAUSTIVE_WORK:
-            witness = None
-            for a in range(t):
-                lhs = act[br_t(a, idx_t[:, None, None], idx_t[None, :, None]), idx_m[None, None, :]]
-                rhs = br_m(
-                    act[a, idx_m[None, None, :]],
-                    act[idx_t[:, None, None], idx_m[None, None, :]],
-                    act[idx_t[None, :, None], idx_m[None, None, :]],
-                )
-                w = grid_witness(lhs, rhs)
-                if w is not None:
-                    witness = (a,) + w
-                    break
-            report.add("module.truss_bracket", witness is None, witness)
-        else:
-            a, b, c, x = index_tuples((t, t, t, m), samples, seed)
-            w = sample_witness(
-                act[br_t(a, b, c), x],
-                br_m(act[a, x], act[b, x], act[c, x]),
-                (a, b, c, x),
-            )
-            report.add("module.truss_bracket", w is None, w)
+        w = morphism_witness(act.T, mod.truss.heap, mod.heap)
+        report.add("module.truss_bracket", w is None, None if w is None else w[1:] + w[:1])
     else:
         report.note("truss-side bracket law skipped (left truss)")
-
-    if t * m ** 3 <= MODULE_EXHAUSTIVE_WORK:
-        witness = None
-        for a in range(t):
-            row = act[a]
-            lhs = row[br_m(idx_m[:, None, None], idx_m[None, :, None], idx_m[None, None, :])]
-            rhs = br_m(row[:, None, None], row[None, :, None], row[None, None, :])
-            w = grid_witness(lhs, rhs)
-            if w is not None:
-                witness = (a,) + w
-                break
-        report.add("module.carrier_bracket", witness is None, witness)
-    else:
-        a, x, y, z = index_tuples((t, m, m, m), samples, seed + 1)
-        w = sample_witness(
-            act[a, br_m(x, y, z)],
-            br_m(act[a, x], act[a, y], act[a, z]),
-            (a, x, y, z),
-        )
-        report.add("module.carrier_bracket", w is None, w)
+    w = morphism_witness(act, mod.heap, mod.heap)
+    report.add("module.carrier_bracket", w is None, w)
     return report
 
 

@@ -15,29 +15,21 @@ import numpy as np
 from .groups import abelian_basis, abelian_coordinates, FiniteGroup
 from .heaps import (
     AbGroup,
-    Heap,
     SubHeap,
     heap_from_group,
+    morphism_witness,
     quotient_heap,
     retract,
-    subheap_relation_classes,
     _norm_labels,
     _square_table,
 )
 from .lawcheck import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     ConsistencyError,
     Report,
     ValidationError,
+    associativity_witness,
     grid_witness,
-    index_tuples,
-    sample_witness,
 )
-
-# Orders up to this bound get exhaustive truss-law scans (n^4 comparisons per
-# distributivity law); larger carriers are sampled.
-TRUSS_EXHAUSTIVE_ORDER = 64
 
 TWO_SIDED = "two-sided"
 LEFT = "left"
@@ -46,10 +38,9 @@ LEFT = "left"
 class Truss:
     """Heap plus multiplication table; ``sided`` is "two-sided" or "left".
 
-    Laws are verified at construction (exhaustively up to
-    TRUSS_EXHAUSTIVE_ORDER, sampled above); the identity and absorber are
-    detected by table scan, and optional expected values are checked against
-    the scan.
+    Laws are verified exhaustively at construction (``truss_law_report``);
+    the identity and absorber are detected by table scan, and optional
+    expected values are checked against the scan.
     """
 
     def __init__(
@@ -60,8 +51,6 @@ class Truss:
         identity=None,
         absorber=None,
         labels=None,
-        samples=DEFAULT_SAMPLES,
-        seed=DEFAULT_SEED,
         check=True,
     ):
         if sided not in (TWO_SIDED, LEFT):
@@ -80,7 +69,7 @@ class Truss:
         if absorber is not None and absorber != self.absorber:
             raise ValidationError("truss.absorber", (absorber,), "claimed absorber is wrong")
         if check:
-            truss_law_report(self, samples=samples, seed=seed).raise_invalid()
+            truss_law_report(self).raise_invalid()
 
     def _scan_identity(self):
         idx = np.arange(self.order)
@@ -124,69 +113,32 @@ class Truss:
         )
 
 
-def truss_law_report(t, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
+def truss_law_report(t, seed=None):
     """Associativity and distributivity over the bracket, with witnesses.
 
-    For left trusses the right-distributivity scan is skipped and noted.
+    Every law is checked exhaustively.  Left distributivity says that each
+    row x -> ax of ``mul`` is a heap morphism, right distributivity the same
+    of each column; ``morphism_witness`` decides both, and a failure is the
+    law instance (a, x, e, g): a[x, e, g] != [ax, ae, ag] (mirrored for the
+    right law).  For left trusses the right law is skipped and noted.
+    ``seed`` is accepted and ignored, since nothing is sampled.
     """
     n = t.order
-    mul = t.mul
-    br = t.bracket_arrays
-    report = Report("truss laws (order %d)" % n, seed=seed, samples=samples)
+    report = Report("truss laws (order %d)" % n)
     if n == 0:
         report.note("empty truss: laws hold vacuously")
         return report
-    idx = np.arange(n)
-    exhaustive = n <= TRUSS_EXHAUSTIVE_ORDER
-
-    witness = None
-    for a in range(n):
-        w = grid_witness(mul[mul[a]], mul[a][mul])
-        if w is not None:
-            witness = (a,) + w
-            break
-    report.add("truss.associative", witness is None, witness)
-
-    if exhaustive:
-        inner = br(idx[:, None, None], idx[None, :, None], idx[None, None, :])
-        witness = None
-        for a in range(n):
-            row = mul[a]
-            lhs = row[inner]
-            rhs = br(row[:, None, None], row[None, :, None], row[None, None, :])
-            w = grid_witness(lhs, rhs)
-            if w is not None:
-                witness = (a,) + w
-                break
-        report.add("truss.left_distributive", witness is None, witness)
-        if t.sided == TWO_SIDED:
-            witness = None
-            for a in range(n):
-                col = mul[:, a]
-                lhs = col[inner]
-                rhs = br(col[:, None, None], col[None, :, None], col[None, None, :])
-                w = grid_witness(lhs, rhs)
-                if w is not None:
-                    witness = (a,) + w
-                    break
-            report.add("truss.right_distributive", witness is None, witness)
+    mul = t.mul
+    w = associativity_witness(mul, mul)
+    report.add("truss.associative", w is None, w)
+    w = morphism_witness(mul, t.heap, t.heap)
+    report.add("truss.left_distributive", w is None, w)
+    if t.sided == TWO_SIDED:
+        w = morphism_witness(mul.T, t.heap, t.heap)
+        report.add("truss.right_distributive", w is None, w)
     else:
-        a, b, c, d = index_tuples((n, n, n, n), samples, seed)
-        w = sample_witness(
-            mul[a, br(b, c, d)],
-            br(mul[a, b], mul[a, c], mul[a, d]),
-            (a, b, c, d),
-        )
-        report.add("truss.left_distributive", w is None, w)
-        if t.sided == TWO_SIDED:
-            w = sample_witness(
-                mul[br(b, c, d), a],
-                br(mul[b, a], mul[c, a], mul[d, a]),
-                (a, b, c, d),
-            )
-            report.add("truss.right_distributive", w is None, w)
-    if t.sided == LEFT:
         report.note("right distributivity skipped (left truss)")
+    idx = np.arange(n)
     if t.identity is not None:
         report.add("truss.identity_row", bool((mul[t.identity] == idx).all()))
     if t.absorber is not None:
@@ -194,54 +146,31 @@ def truss_law_report(t, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
     return report
 
 
-def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
+def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED):
     """The truss of a ring: same multiplication, addition replaced by its heap.
 
-    Validates the ring laws (associativity plus distributivity over the
-    addition table) and checks that the ring zero is the absorber.
+    Validates the ring laws exhaustively.  A map is additive exactly when it
+    is a heap morphism fixing zero, so ring distributivity is the truss
+    distributivity of ``morphism_witness`` plus "the ring zero is the
+    absorber"; a failure is reported as a ring instance (a, b, c) of
+    a(b + c) != ab + ac (or its mirror).
     """
     if not isinstance(add, AbGroup):
         add = AbGroup(add)
-    n = add.order
     mul = _square_table(mul, "ring")
-    idx = np.arange(n)
-    exhaustive = n <= TRUSS_EXHAUSTIVE_ORDER
-    if exhaustive:
-        for a in range(n):
-            w = grid_witness(mul[mul[a]], mul[a][mul])
-            if w is not None:
-                raise ValidationError("ring.associative", (a,) + w)
-            row = mul[a]
-            w = grid_witness(row[add.add], add.add[row[:, None], row[None, :]])
-            if w is not None:
-                raise ValidationError("ring.left_distributive", (a,) + w)
-            col = mul[:, a]
-            w = grid_witness(col[add.add], add.add[col[:, None], col[None, :]])
-            if w is not None:
-                raise ValidationError("ring.right_distributive", (a,) + w)
-    else:
-        a, b, c = index_tuples((n, n, n), samples, seed)
-        w = sample_witness(mul[mul[a, b], c], mul[a, mul[b, c]], (a, b, c))
+    heap = heap_from_group(add)
+    w = associativity_witness(mul, mul)
+    if w is not None:
+        raise ValidationError("ring.associative", w)
+    zero = add.zero
+    for law, rows in (("ring.left_distributive", mul), ("ring.right_distributive", mul.T)):
+        moved = np.flatnonzero(rows[:, zero] != zero)
+        if moved.size:
+            raise ValidationError(law, (moved[0], zero, zero))
+        w = morphism_witness(rows, heap, heap)
         if w is not None:
-            raise ValidationError("ring.associative", w)
-        w = sample_witness(mul[a, add.add[b, c]], add.add[mul[a, b], mul[a, c]], (a, b, c))
-        if w is not None:
-            raise ValidationError("ring.left_distributive", w)
-        w = sample_witness(mul[add.add[b, c], a], add.add[mul[b, a], mul[c, a]], (a, b, c))
-        if w is not None:
-            raise ValidationError("ring.right_distributive", w)
-    t = Truss(
-        heap_from_group(add),
-        mul,
-        sided=sided,
-        labels=labels,
-        samples=samples,
-        seed=seed,
-        check=False,
-    )
-    if t.absorber != add.zero:
-        raise ConsistencyError("ring zero is not the truss absorber")
-    return t
+            raise ValidationError(law, (w[0], w[1], w[3]))
+    return Truss(heap, mul, sided=sided, labels=labels, check=False)
 
 
 def lambda_q(t, x, p, q):
