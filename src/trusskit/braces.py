@@ -14,8 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import FiniteGroup
-from .heaps import AbGroup, _norm_labels, heap_from_group, morphism_witness
+from .groups import FiniteGroup, restrict_table
+from .heaps import (
+    AbGroup,
+    SubHeap,
+    _norm_labels,
+    heap_from_group,
+    morphism_witness,
+    retract,
+    subheap_relation_classes,
+)
 from .lawcheck import (
     ConsistencyError,
     Report,
@@ -238,16 +246,13 @@ def brace_ideals(b):
 
 
 def ideal_cosets(b, ideal):
-    """The additive cosets of an ideal (the members of B/I)."""
-    sarr = np.array(sorted(ideal))
-    seen = set()
-    cosets = []
-    for a in range(b.order):
-        coset = tuple(sorted(int(v) for v in b.add.add[a, sarr]))
-        if coset not in seen:
-            seen.add(coset)
-            cosets.append(coset)
-    return cosets
+    """The additive cosets of an ideal (the members of B/I), by smallest member.
+
+    An ideal is an additive subgroup, hence a sub-heap, so its closure is
+    not checked again.
+    """
+    heap = heap_from_group(b.add)
+    return subheap_relation_classes(heap, SubHeap(heap, ideal, check=False))
 
 
 def ideal_iff_normal_paragon(b, s, truss=None):
@@ -294,16 +299,7 @@ def units_brace(t):
     if w is not None:
         raise ValidationError("units.subheap", tuple(us[i] for i in w),
                               "unit set is not a sub-heap")
-    pos = {u: i for i, u in enumerate(us)}
-    k = len(us)
     labels = [t.label_of(u) for u in us]
-    one = t.identity
-    addt = np.zeros((k, k), dtype=np.int64)
-    mult = np.zeros((k, k), dtype=np.int64)
-    for i, a in enumerate(us):
-        for j, c in enumerate(us):
-            addt[i, j] = pos[t.bracket(a, one, c)]
-            mult[i, j] = pos[int(t.mul[a, c])]
-    add = AbGroup(addt, labels=labels)
-    mulgroup = FiniteGroup(mult, labels=labels)
+    add = AbGroup(restrict_table(retract(t.heap, t.identity).add, uarr), labels=labels)
+    mulgroup = FiniteGroup(restrict_table(t.mul, uarr), labels=labels)
     return Brace(add, mulgroup, sided=t.sided, labels=labels)

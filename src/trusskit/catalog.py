@@ -28,7 +28,6 @@ from .trusses import Truss, is_paragon, quotient_truss, truss_from_ring, units
 GROUP_RING_MAX_ORDER = 256
 TRUNC_POLY_MAX_ORDER = 256
 END_TRUSS_MAX_ORDER = 256
-END_BRUTE_FORCE_MAX = 6
 
 
 @dataclass
@@ -383,37 +382,29 @@ def trunc_poly_truss(k, n):
 def endomorphism_maps(g):
     """All additive self-maps of an abelian group, each as an index array.
 
-    Brute force over all |g|^|g| self-maps for small carriers; generator
-    images (through the abelian basis) above.  Sorted by map tuple, so the
-    ordering is deterministic and independent of the path taken.
+    An additive map is fixed by the images of an abelian basis, and the
+    image of a generator of order d ranges over the d-torsion.  Sorted by
+    map tuple, so the ordering is deterministic.
     """
     n = g.order
     maps = []
-    if n <= END_BRUTE_FORCE_MAX:
-        add = g.add
-        for cand in itertools.product(range(n), repeat=n):
-            f = np.array(cand, dtype=np.int64)
-            if (f[add] == add[f[:, None], f[None, :]]).all():
-                maps.append(f)
-    else:
-        fg = FiniteGroup.from_abgroup(g)
-        basis, coords = abelian_coordinates(fg)
-        orders = fg.element_orders()
-        coord_mat = np.array([coords[x] for x in range(n)], dtype=np.int64).reshape(n, len(basis))
-        # images of each basis generator range over the d_i-torsion
-        cands = []
-        for _, d in basis:
-            cands.append([y for y in range(n) if d % int(orders[y]) == 0])
-        for images in itertools.product(*cands):
-            f = np.full(n, g.zero, dtype=np.int64)
-            for i, img in enumerate(images):
-                d = basis[i][1]
-                powers = np.empty(d, dtype=np.int64)
-                powers[0] = g.zero
-                for kk in range(1, d):
-                    powers[kk] = g.add[powers[kk - 1], img]
-                f = g.add[f, powers[coord_mat[:, i]]]
-            maps.append(f)
+    fg = FiniteGroup.from_abgroup(g)
+    basis, coords = abelian_coordinates(fg)
+    orders = fg.element_orders()
+    coord_mat = np.array([coords[x] for x in range(n)], dtype=np.int64).reshape(n, len(basis))
+    cands = []
+    for _, d in basis:
+        cands.append([y for y in range(n) if d % int(orders[y]) == 0])
+    for images in itertools.product(*cands):
+        f = np.full(n, g.zero, dtype=np.int64)
+        for i, img in enumerate(images):
+            d = basis[i][1]
+            powers = np.empty(d, dtype=np.int64)
+            powers[0] = g.zero
+            for kk in range(1, d):
+                powers[kk] = g.add[powers[kk - 1], img]
+            f = g.add[f, powers[coord_mat[:, i]]]
+        maps.append(f)
     maps.sort(key=lambda f: tuple(int(v) for v in f))
     return maps
 

@@ -2,8 +2,10 @@
 
 Subcommands: validate, scan-units, extend, quotient, brace, identify,
 catalog.  Structure I/O uses the JSON formats from ``jsonio``.  Reports are
-deterministic for fixed inputs and seed (timing goes to stderr only) and the
-exit code is 0 exactly when every asserted claim passed.
+deterministic for fixed inputs and seed (timing goes to stderr only).
+
+Exit codes: 0 when every asserted claim passed, 1 when a claim failed, 2 when
+a document or argument is malformed (one ``input error`` line on stderr).
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from .groups import (
     group_from_units,
     identification_report,
 )
-from .heaps import AbGroup, Heap, heap_from_group, heap_law_report
+from .heaps import AbGroup, Heap
 from .lawcheck import Report, ValidationError
-from .modules import TModule, module_law_report
+from .modules import TModule
 from .trusses import (
     Truss,
     is_paragon,
@@ -76,68 +78,9 @@ def _load_doc(path):
         raise SystemExit("parse error in %s at byte %d: %s" % (path, exc.pos, exc.msg))
 
 
-def _validation_report(doc):
-    """Law-by-law report for a raw structure document.
-
-    Construction failures (broken identity, out-of-range entries, ...) are
-    folded into the report instead of raised, so a corrupted file yields a
-    failing check with its witness.
-    """
-    kind = doc.get("kind")
-    report = Report("validate %s" % kind)
-    try:
-        if kind == "abgroup":
-            g = AbGroup(doc["add"], labels=doc.get("labels"), check=False)
-            report.extend(g.law_report())
-            return report, g
-        if kind == "heap":
-            g = AbGroup(doc["add"], labels=doc.get("labels"), check=False)
-            h = heap_from_group(g)
-            report.extend(heap_law_report(h))
-            return report, h
-        if kind == "truss":
-            g = AbGroup(doc["heap"]["add"], labels=doc["heap"].get("labels"), check=False)
-            report.extend(g.law_report())
-            if not report.ok:
-                return report, None
-            t = Truss(heap_from_group(g), doc["mul"], sided=doc.get("sided", "two-sided"),
-                      labels=doc.get("labels"), check=False)
-            report.extend(truss_law_report(t))
-            if doc.get("identity") is not None:
-                report.add("declared_identity", t.identity == doc["identity"])
-            if doc.get("absorber") is not None:
-                report.add("declared_absorber", t.absorber == doc["absorber"])
-            return report, t
-        if kind == "tmodule":
-            truss = jsonio.from_jsonable(doc["truss"])
-            heap = jsonio.from_jsonable(doc["heap"])
-            mod = TModule(truss, heap, doc["action"], check=False)
-            report.extend(module_law_report(mod))
-            return report, mod
-        if kind == "brace":
-            add = AbGroup(doc["add"], labels=doc.get("labels"), check=False)
-            mul = FiniteGroup(doc["mul"], labels=doc.get("labels"), check=False)
-            report.extend(add.law_report())
-            report.extend(mul.law_report())
-            b = Brace(add, mul, sided=doc.get("sided", "two-sided"), check=False)
-            report.extend(brace_law_report(b))
-            return report, b
-        if kind == "group":
-            g = FiniteGroup(doc["mul"], labels=doc.get("labels"), check=False)
-            report.extend(g.law_report())
-            return report, g
-    except ValidationError as exc:
-        report.add(exc.law, False, exc.witness)
-        return report, None
-    report.add("known_kind", False)
-    report.note("unknown structure kind %r" % kind)
-    return report, None
-
-
 def cmd_validate(args):
-    doc = _load_doc(args.file)
-    report, obj = _validation_report(doc)
-    return report, {"structure": obj} if obj is not None else {}
+    obj, report = jsonio.validate(_load_doc(args.file))
+    return report, {} if obj is None else {"structure": obj}
 
 
 def cmd_scan_units(args):
@@ -256,6 +199,8 @@ def cmd_identify(args):
         out["additive"] = identification_report(FiniteGroup.from_abgroup(obj.add))
         out["multiplicative"] = identification_report(obj.mul)
     elif isinstance(obj, (Heap, AbGroup)):
+        if obj.order == 0:
+            raise ValueError("the empty heap has no retract to identify")
         g = obj.retract if isinstance(obj, Heap) else obj
         out["additive"] = identification_report(FiniteGroup.from_abgroup(g))
     else:
@@ -277,9 +222,18 @@ def _abgroup_from_spec(spec):
     return g
 
 
+CATALOG_ARITY = {"zn": 1, "za": 2, "group-ring": 2, "trunc-poly": 2, "end": 1}
+
+
 def cmd_catalog(args):
     family = args.family
     params = args.params
+    if family not in CATALOG_ARITY:
+        raise SystemExit("unknown catalog family %r (families: %s)"
+                         % (family, ", ".join(CATALOG_ARITY)))
+    if len(params) != CATALOG_ARITY[family]:
+        raise ValueError("catalog %s: expected %d parameter(s), got %d"
+                         % (family, CATALOG_ARITY[family], len(params)))
     report = Report("catalog %s %s" % (family, " ".join(params)))
     if family == "zn":
         t = zn_truss(int(params[0]))
@@ -303,13 +257,10 @@ def cmd_catalog(args):
         )
         report.add("unit_inverse_series", inverses_ok)
         return report, {"truss": tp.truss}
-    if family == "end":
-        ext = end_truss(_abgroup_from_spec(params[0]))
-        report.add("evaluation_extension_product_formula", True)
-        report.extend(truss_law_report(ext.truss))
-        return report, {"truss": ext}
-    raise SystemExit("unknown catalog family %r "
-                     "(families: zn, za, group-ring, trunc-poly, end)" % family)
+    ext = end_truss(_abgroup_from_spec(params[0]))
+    report.add("evaluation_extension_product_formula", True)
+    report.extend(truss_law_report(ext.truss))
+    return report, {"truss": ext}
 
 
 def _emit(args, report, artifacts):
@@ -396,9 +347,12 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         report, artifacts = args.fn(args)
-    except ValidationError as exc:
+    except ValidationError as exc:  # a ValueError too, so it goes first
         sys.stderr.write("validation error: %s\n" % exc)
         return 1
+    except (ValueError, OSError) as exc:
+        sys.stderr.write("input error: %s\n" % exc)
+        return 2
     code = _emit(args, report, artifacts)
     sys.stderr.write("elapsed %.3fs\n" % (time.perf_counter() - start))
     return code

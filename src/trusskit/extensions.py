@@ -64,6 +64,20 @@ class ExtTruss:
         )
 
 
+def _ext_mul(base, module, e):
+    """mul[(t,x),(t',x')] = (t t', [x, t.e, t.x']) on pairs t*m + x."""
+    if not 0 <= e < module.order:
+        raise ValueError("anchor out of range")
+    n, m = base.order, module.order
+    act = module.action
+    second = module.heap.bracket_arrays(
+        np.arange(m)[None, :, None, None],
+        act[:, e][:, None, None, None],
+        act[:, None, None, :],
+    )
+    return (base.mul[:, None, :, None] * m + second).reshape(n * m, n * m)
+
+
 def extend(base, module, e):
     """Build T[M; e] and verify the truss laws at construction.
 
@@ -72,21 +86,8 @@ def extend(base, module, e):
     """
     if module.truss is not base and module.truss != base:
         raise ValueError("module is not a module over the given base truss")
-    if not 0 <= e < module.order:
-        raise ValueError("anchor out of range")
-    n, m = base.order, module.order
+    mul = _ext_mul(base, module, e)
     heap = product_heap(base.heap, module.heap)
-    act = module.action
-    br_m = module.heap.bracket_arrays
-
-    # mul[(t,x),(t',x')] = (t t', [x, t.e, t.x'])
-    first = base.mul[:, None, :, None]
-    second = br_m(
-        np.arange(m)[None, :, None, None],
-        act[:, e][:, None, None, None],
-        act[:, None, None, :],
-    )
-    mul = (first * m + second).reshape(n * m, n * m)
     try:
         truss = Truss(heap, mul, sided=base.sided, labels=heap.labels)
     except Exception as exc:
@@ -97,15 +98,19 @@ def extend(base, module, e):
 def anchor_iso(ext, e2):
     """(ext2, phi): the isomorphism (t, x) -> (t, [x, e, e2]) onto the e2-anchored extension.
 
-    Verified bijective, bracket-preserving and multiplicative in full.
+    Verified bijective, bracket-preserving and multiplicative in full.  The
+    e2-anchored table is built without a law scan: phi is an isomorphism
+    from the validated extension, so it carries every law over.
     """
-    ext2 = extend(ext.base, ext.module, e2)
+    t1 = ext.truss
+    t2 = Truss(t1.heap, _ext_mul(ext.base, ext.module, e2), sided=t1.sided,
+               labels=t1.labels, check=False)
+    ext2 = ExtTruss(ext.base, ext.module, int(e2), t2)
     n, m = ext.base.order, ext.m
     shift = ext.module.heap.bracket_arrays(np.arange(m), ext.anchor, e2)
     phi = (np.arange(n)[:, None] * m + shift[None, :]).reshape(-1)
     if sorted(int(v) for v in phi) != list(range(n * m)):
         raise ConsistencyError("anchor change is not a bijection")
-    t1, t2 = ext.truss, ext2.truss
     if grid_witness(phi[t1.mul], t2.mul[phi[:, None], phi[None, :]]) is not None:
         raise ConsistencyError("anchor change is not multiplicative")
     if morphism_witness(phi, t1.heap, t2.heap) is not None:

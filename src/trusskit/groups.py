@@ -150,22 +150,6 @@ class FiniteGroup:
         proj.setflags(write=False)
         return FiniteGroup(qmul, labels=labels, check=False), proj
 
-    def restrict(self, members, labels=None):
-        """The subgroup on ``members``, reindexed to 0..k-1."""
-        members = tuple(sorted(int(m) for m in members))
-        pos = {m: i for i, m in enumerate(members)}
-        k = len(members)
-        table = np.zeros((k, k), dtype=np.int64)
-        for i, a in enumerate(members):
-            for j, b in enumerate(members):
-                v = int(self.mul[a, b])
-                if v not in pos:
-                    raise ValueError("subset is not closed under multiplication")
-                table[i, j] = pos[v]
-        if labels is None and self.labels:
-            labels = [self.labels[m] for m in members]
-        return FiniteGroup(table, labels=labels)
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteGroup)
@@ -177,25 +161,28 @@ class FiniteGroup:
         return "FiniteGroup(order=%d)" % self.order
 
 
+def restrict_table(table, members):
+    """The k x k table of a binary operation on the sorted ``members``,
+    reindexed to 0..k-1; ``ValueError`` when ``members`` is not closed."""
+    m = np.asarray(members, dtype=np.int64)
+    pos = np.full(len(table), -1, dtype=np.int64)
+    pos[m] = np.arange(m.size)
+    sub = pos[table[np.ix_(m, m)]]
+    if (sub < 0).any():
+        raise ValueError("subset is not closed under the operation")
+    return sub
+
+
 def group_from_units(truss):
     """Multiplication table restricted to the units of a unital truss."""
     if truss.identity is None:
         raise ValueError("truss has no identity; no unit group")
-    mul = truss.mul
-    n = mul.shape[0]
-    hit = mul == truss.identity
-    unit_mask = (hit & hit.T).any(axis=1)
-    members = tuple(int(v) for v in np.flatnonzero(unit_mask))
+    hit = truss.mul == truss.identity
+    members = np.flatnonzero((hit & hit.T).any(axis=1))
     labels = None
     if truss.labels:
         labels = [truss.labels[m] for m in members]
-    pos = {m: i for i, m in enumerate(members)}
-    k = len(members)
-    table = np.zeros((k, k), dtype=np.int64)
-    for i, a in enumerate(members):
-        row = mul[a, list(members)]
-        table[i] = [pos[int(v)] for v in row]
-    return FiniteGroup(table, labels=labels)
+    return FiniteGroup(restrict_table(truss.mul, members), labels=labels)
 
 
 @dataclass(frozen=True)
@@ -418,20 +405,16 @@ def direct_product(g, h):
 
 
 def named_group(name, *params):
-    """Dispatch on the family names used throughout: cyclic, dihedral,
-    quaternion, direct-product."""
-    if name == "cyclic":
-        return cyclic_group(int(params[0]))
-    if name == "dihedral":
-        return dihedral_group(int(params[0]))
-    if name == "quaternion":
-        return quaternion_group()
-    if name == "direct-product":
-        g = params[0]
-        for h in params[1:]:
-            g = direct_product(g, h)
-        return g
-    raise ValueError("unknown group family %r" % name)
+    """Dispatch on the family names used throughout: cyclic and dihedral
+    (one parameter, the order) and quaternion (none)."""
+    families = {"cyclic": cyclic_group, "dihedral": dihedral_group,
+                "quaternion": quaternion_group}
+    if name not in families:
+        raise ValueError("unknown group family %r" % name)
+    arity = 0 if name == "quaternion" else 1
+    if len(params) != arity:
+        raise ValueError("%s: expected %d parameter(s), got %d" % (name, arity, len(params)))
+    return families[name](*(int(p) for p in params))
 
 
 def group_from_spec(spec):

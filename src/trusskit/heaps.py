@@ -29,8 +29,15 @@ from .lawcheck import (
 )
 
 
+def _int_table(table, what):
+    try:
+        return np.ascontiguousarray(table, dtype=np.int64)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError("%s table must hold integers: %s" % (what, exc)) from exc
+
+
 def _square_table(table, what):
-    arr = np.ascontiguousarray(table, dtype=np.int64)
+    arr = _int_table(table, what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError("%s.shape" % what, None, "%s table must be square" % what)
     n = arr.shape[0]
@@ -44,7 +51,10 @@ def _square_table(table, what):
 def _norm_labels(labels, n):
     if labels is None:
         return None
-    labels = tuple(str(x) for x in labels)
+    try:
+        labels = tuple(str(x) for x in labels)
+    except TypeError as exc:
+        raise ValueError("labels must be a list: %s" % exc) from exc
     if len(labels) != n:
         raise ValueError("expected %d labels, got %d" % (n, len(labels)))
     return labels
@@ -139,6 +149,8 @@ class AbGroup:
 
     @classmethod
     def cyclic(cls, n, labels=None):
+        if n < 1:
+            raise ValueError("a cyclic group needs order n >= 1, got %d" % n)
         idx = np.arange(n, dtype=np.int64)
         add = (idx[:, None] + idx[None, :]) % n
         if labels is None:
@@ -362,36 +374,24 @@ def _member_tuple(h, s):
 def subheap_relation_classes(h, s):
     """Partition of the carrier by x ~ y  iff  [x, y, p] lands in s for some p in s.
 
-    s itself is one class and every class has cardinality |s|; a violation
-    raises ``ConsistencyError`` since it cannot happen for a genuine sub-heap.
+    The class of x is the coset {[x, s0, p] : p in s}, so the classes are
+    the distinct rows of one |carrier| x |s| bracket array, ordered by
+    smallest member.  s itself is one class and every class has cardinality
+    |s|; a violation raises ``ConsistencyError`` since it cannot happen for a
+    genuine sub-heap.
     """
     members = _member_tuple(h, s)
     if not members:
         raise ValueError("quotient by empty sub-heap undefined")
-    n = h.order
     sarr = np.array(members)
-    mask = np.zeros(n, dtype=bool)
-    mask[sarr] = True
-    rel = np.zeros((n, n), dtype=bool)
-    idx = np.arange(n)
-    for x in range(n):
-        vals = h.bracket_arrays(x, idx[:, None], sarr[None, :])
-        rel[x] = mask[vals].any(axis=1)
-
-    if not (rel == rel.T).all() or not rel[idx, idx].all():
-        raise ConsistencyError("sub-heap relation is not an equivalence")
-    classes = []
-    seen = np.zeros(n, dtype=bool)
-    for x in range(n):
-        if seen[x]:
-            continue
-        cls = np.flatnonzero(rel[x])
-        if seen[cls].any():
-            raise ConsistencyError("sub-heap relation classes overlap")
-        seen[cls] = True
-        classes.append(tuple(int(v) for v in cls))
-    sizes = {len(c) for c in classes}
-    if sizes != {len(members)} or members not in classes:
+    rows = np.sort(h.bracket_arrays(np.arange(h.order)[:, None], sarr[0], sarr[None, :]), axis=1)
+    if (rows[:, 1:] == rows[:, :-1]).any():
+        raise ConsistencyError("sub-heap relation classes are not equal-size cosets")
+    classes = np.unique(rows, axis=0)
+    if not np.array_equal(np.sort(classes, axis=None), np.arange(h.order)):
+        raise ConsistencyError("sub-heap relation classes overlap")
+    classes = [tuple(int(v) for v in c) for c in classes]
+    if members not in classes:
         raise ConsistencyError("sub-heap relation classes are not equal-size cosets")
     return classes
 

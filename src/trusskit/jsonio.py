@@ -13,18 +13,28 @@ optional parallel list of labels.  The kinds:
 
 An extension truss serialises as its truss plus an "extension" block naming
 the base, module, anchor and pairing convention.
+
+``validate(doc)`` is the one reader.  It first checks that the document, and
+every document nested in it, is an object of a known kind with that kind's
+required fields, and raises ``ValueError`` naming what is missing.  Then it
+builds the structure once with ``check=False`` and returns it with a report:
+the kind's law reports, the declared ``zero``, ``identity`` and ``absorber``,
+and the ``extension`` rebuild as named checks, and a law a constructor
+rejects as a failing check with its witness.  ``from_jsonable`` is
+``validate`` followed by ``Report.raise_invalid``.
 """
 
 from __future__ import annotations
 
 import json
 
-from .braces import Brace
+from .braces import Brace, brace_law_report
 from .extensions import ExtTruss, extend
 from .groups import FiniteGroup
-from .heaps import AbGroup, Heap, heap_from_group
-from .modules import TModule
-from .trusses import Truss
+from .heaps import AbGroup, Heap, heap_from_group, heap_law_report
+from .lawcheck import Report, ValidationError
+from .modules import TModule, module_law_report
+from .trusses import TWO_SIDED, Truss, truss_law_report
 
 
 def _table(arr):
@@ -101,53 +111,122 @@ def to_jsonable(obj):
     raise TypeError("cannot serialise %r" % type(obj).__name__)
 
 
-def from_jsonable(doc):
-    kind = doc.get("kind")
-    labels = doc.get("labels")
-    if kind == "abgroup":
-        g = AbGroup(doc["add"], labels=labels)
-        if doc.get("zero") is not None and g.zero != doc["zero"]:
-            raise ValueError("declared zero disagrees with the table")
-        return g
-    if kind == "heap":
-        if doc.get("order", 0) == 0:
-            return Heap.empty()
-        g = AbGroup(doc["add"], labels=labels)
-        if doc.get("zero") is not None and g.zero != doc["zero"]:
-            raise ValueError("declared basepoint disagrees with the table")
-        return heap_from_group(g)
-    if kind == "truss":
-        heap = from_jsonable(doc["heap"])
-        t = Truss(
-            heap,
-            doc["mul"],
-            sided=doc.get("sided", "two-sided"),
-            identity=doc.get("identity"),
-            absorber=doc.get("absorber"),
-            labels=tuple(labels) if labels else None,
-        )
-        if "extension" in doc:
+# kind -> required fields; a field that names a kind holds a nested document
+_FIELDS = {
+    "abgroup": {"add": None},
+    "heap": {"add": None},
+    "truss": {"heap": "heap", "mul": None},
+    "tmodule": {"truss": "truss", "heap": "heap", "action": None},
+    "brace": {"add": None, "mul": None},
+    "group": {"mul": None},
+}
+_EXTENSION = {"base": "truss", "module": "tmodule", "anchor": None}
+
+
+def _check_fields(obj, fields, where):
+    if not isinstance(obj, dict):
+        raise ValueError("%s is not a JSON object" % where)
+    for field, kind in fields.items():
+        if field not in obj:
+            raise ValueError("%s lacks the field %r" % (where, field))
+        if kind is not None:
+            _check_document(obj[field], "%s.%s" % (where, field), kind)
+
+
+def _check_document(doc, where="document", expect=None):
+    """Raise ``ValueError`` unless ``doc`` is an object of a known kind
+    (``expect`` when given) with that kind's fields, nested documents included."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in _FIELDS or expect not in (None, kind):
+        raise ValueError("%s is not a %s document (kind %r)"
+                         % (where, expect or "structure", kind))
+    empty_heap = kind == "heap" and doc.get("order") == 0
+    _check_fields(doc, {} if empty_heap else _FIELDS[kind], where)
+    if kind == "truss" and "extension" in doc:
+        _check_fields(doc["extension"], _EXTENSION, where + ".extension")
+        if not isinstance(doc["extension"]["anchor"], int):
+            raise ValueError("%s.extension.anchor is not an integer" % where)
+
+
+def _declared(report, doc, field, value):
+    if doc.get(field) is not None:
+        report.add("declared_" + field, doc[field] == value)
+
+
+def _read(doc):
+    """The one dispatch on a checked document's kind: build with
+    ``check=False`` and collect the law reports."""
+    kind, labels = doc["kind"], doc.get("labels") or None
+    report = Report("validate %s" % kind)
+
+    def part(sub):  # a nested document's structure, or None if it failed
+        obj, rep = _read(sub)
+        report.extend(rep)
+        if not rep.ok:
+            return None
+        return obj.truss if isinstance(obj, ExtTruss) else obj
+
+    try:
+        if kind in ("abgroup", "heap"):
+            if kind == "heap" and doc.get("order") == 0:
+                obj = Heap.empty()
+                return obj, report.extend(heap_law_report(obj))
+            g = AbGroup(doc["add"], labels=labels, check=False)
+            obj = g if kind == "abgroup" else heap_from_group(g)
+            report.extend(g.law_report() if obj is g else heap_law_report(obj))
+            _declared(report, doc, "zero", g.zero)
+            return obj, report
+        if kind == "truss":
+            heap = part(doc["heap"])
+            if heap is None:
+                return None, report
+            t = Truss(heap, doc["mul"], sided=doc.get("sided", TWO_SIDED), labels=labels,
+                      check=False)
+            report.extend(truss_law_report(t))
+            _declared(report, doc, "identity", t.identity)
+            _declared(report, doc, "absorber", t.absorber)
+            if "extension" not in doc:
+                return t, report
             ext = doc["extension"]
-            base = from_jsonable(ext["base"])
-            module = from_jsonable(ext["module"])
+            base, module = part(ext["base"]), part(ext["module"])
+            if base is None or module is None:
+                return None, report
             rebuilt = extend(base, module, ext["anchor"])
-            if rebuilt.truss != t:
-                raise ValueError("extension block does not rebuild the stored truss")
-            return rebuilt
-        return t
-    if kind == "tmodule":
-        truss = from_jsonable(doc["truss"])
-        heap = from_jsonable(doc["heap"])
-        return TModule(truss, heap, doc["action"],
-                       labels=tuple(labels) if labels else None)
-    if kind == "brace":
-        add = AbGroup(doc["add"], labels=labels)
-        mul = FiniteGroup(doc["mul"], labels=labels)
-        return Brace(add, mul, sided=doc.get("sided", "two-sided"),
-                     labels=tuple(labels) if labels else None)
-    if kind == "group":
-        return FiniteGroup(doc["mul"], labels=labels)
-    raise ValueError("unknown structure kind %r" % kind)
+            return (rebuilt if report.add("declared_extension", rebuilt.truss == t) else t), report
+        if kind == "tmodule":
+            truss, heap = part(doc["truss"]), part(doc["heap"])
+            if truss is None or heap is None:
+                return None, report
+            mod = TModule(truss, heap, doc["action"], labels=labels, check=False)
+            return mod, report.extend(module_law_report(mod))
+        if kind == "brace":
+            add = AbGroup(doc["add"], labels=labels, check=False)
+            mul = FiniteGroup(doc["mul"], labels=labels, check=False)
+            report.extend(add.law_report()).extend(mul.law_report())
+            b = Brace(add, mul, sided=doc.get("sided", TWO_SIDED), labels=labels, check=False)
+            return b, report.extend(brace_law_report(b))
+        g = FiniteGroup(doc["mul"], labels=labels, check=False)
+        return g, report.extend(g.law_report())
+    except ValidationError as exc:
+        report.add(exc.law, False, exc.witness)
+        return None, report
+
+
+def validate(doc):
+    """(structure or None, report) for a structure document.
+
+    Raises ``ValueError`` when the document is malformed; a law the
+    structure breaks is a failing check in the report instead.
+    """
+    _check_document(doc)
+    return _read(doc)
+
+
+def from_jsonable(doc):
+    """The structure of a document whose every check passes."""
+    obj, report = validate(doc)
+    report.raise_invalid()
+    return obj
 
 
 def dumps(obj):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .heaps import (
     SubHeap,
+    _int_table,
     _norm_labels,
     morphism_witness,
     product_heap,
@@ -41,7 +42,7 @@ class TModule:
     def __init__(self, truss, heap, action, labels=None, check=True):
         self.truss = truss
         self.heap = heap
-        action = np.ascontiguousarray(action, dtype=np.int64)
+        action = _int_table(action, "module")
         if action.shape != (truss.order, heap.order):
             raise ValidationError("module.shape", None, "action table must be n x m")
         if heap.order and ((action < 0).any() or (action >= heap.order).any()):

@@ -39,20 +39,10 @@ class Truss:
     """Heap plus multiplication table; ``sided`` is "two-sided" or "left".
 
     Laws are verified exhaustively at construction (``truss_law_report``);
-    the identity and absorber are detected by table scan, and optional
-    expected values are checked against the scan.
+    the identity and absorber are detected by table scan.
     """
 
-    def __init__(
-        self,
-        heap,
-        mul,
-        sided=TWO_SIDED,
-        identity=None,
-        absorber=None,
-        labels=None,
-        check=True,
-    ):
+    def __init__(self, heap, mul, sided=TWO_SIDED, labels=None, check=True):
         if sided not in (TWO_SIDED, LEFT):
             raise ValueError("sided must be %r or %r" % (TWO_SIDED, LEFT))
         self.heap = heap
@@ -64,10 +54,6 @@ class Truss:
         self.labels = _norm_labels(labels, self.order) or heap.labels
         self.identity = self._scan_identity()
         self.absorber = self._scan_absorber()
-        if identity is not None and identity != self.identity:
-            raise ValidationError("truss.identity", (identity,), "claimed identity is wrong")
-        if absorber is not None and absorber != self.absorber:
-            raise ValidationError("truss.absorber", (absorber,), "claimed absorber is wrong")
         if check:
             truss_law_report(self).raise_invalid()
 

@@ -181,17 +181,30 @@ class TestEndTruss:
         assert (0, 1, 2, 3) in tuples
 
     def test_brute_force_matches_generator_path(self):
-        # order 4 carrier goes brute force; compare against the basis path
-        from trusskit.catalog import END_BRUTE_FORCE_MAX
-
         g = AbGroup.cyclic(4)
-        assert g.order <= END_BRUTE_FORCE_MAX
         brute = endomorphism_maps(g)
         # cyclic: endomorphisms = multiplications by 0..3
         expected = sorted(
             [tuple((k * x) % 4 for x in range(4)) for k in range(4)]
         )
         assert [tuple(int(v) for v in f) for f in brute] == expected
+
+    @pytest.mark.parametrize(
+        "g",
+        [AbGroup.cyclic(n) for n in range(1, 7)]
+        + [AbGroup([[a ^ b for b in range(4)] for a in range(4)]),
+           AbGroup.cyclic(2).direct_sum(AbGroup.cyclic(3))],
+        ids=["C1", "C2", "C3", "C4", "C5", "C6", "C2xC2", "C2+C3"],
+    )
+    def test_matches_brute_force_oracle(self, g):
+        # every self-map of the carrier that preserves addition, order <= 6
+        n, add = g.order, g.add
+
+        def additive(f):
+            return (f[add] == add[f[:, None], f[None, :]]).all()
+
+        oracle = [c for c in itertools.product(range(n), repeat=n) if additive(np.array(c))]
+        assert [tuple(int(v) for v in f) for f in endomorphism_maps(g)] == sorted(oracle)
 
     def test_klein_endos(self):
         klein = AbGroup([[a ^ b for b in range(4)] for a in range(4)])

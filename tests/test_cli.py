@@ -1,8 +1,13 @@
+import contextlib
+import copy
 import io
 import json
+import os
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trusskit import jsonio, regular_module, za_truss, zn_truss
 from trusskit.cli import main
@@ -212,3 +217,122 @@ class TestJsonRoundTrips:
         path.write_text(json.dumps(doc))
         with pytest.raises(Exception):
             jsonio.read_file(path)
+
+
+def _fuzz_documents():
+    from trusskit import (
+        AbGroup,
+        brace_from_truss,
+        dihedral_group,
+        extend,
+        heap_from_group,
+    )
+
+    z2 = zn_truss(2)
+    return [
+        jsonio.to_jsonable(obj)
+        for obj in (
+            AbGroup.cyclic(4),
+            heap_from_group(AbGroup.cyclic(3)),
+            zn_truss(4),
+            regular_module(za_truss(2, 4)),
+            brace_from_truss(za_truss(2, 4)),
+            dihedral_group(6),
+            extend(z2, regular_module(z2), 1),
+        )
+    ] + [{"kind": "heap", "order": 0}]
+
+
+FUZZ_DOCS = _fuzz_documents()
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.integers(-2**80, 2**80)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                              max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(node, path=()):
+    """Every (container path, key) inside a document, nested ones included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path, key
+        yield from _paths(value, path + (key,))
+
+
+def _run_main(argv):
+    """(exit code, stderr) of one cli.main call; anything but SystemExit escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit:
+            code = None
+    return code, err.getvalue()
+
+
+class TestErrorBoundary:
+    """Malformed documents and arguments never escape ``main`` as a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_documents(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCS)))
+        path, key = data.draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        how = data.draw(st.sampled_from(["drop", "replace", "shorten"]))
+        if how == "drop":
+            del parent[key]
+        elif how == "replace":
+            parent[key] = data.draw(json_values)
+        elif isinstance(parent[key], list) and parent[key]:
+            parent[key] = parent[key][:-1]
+        with tempfile.TemporaryDirectory() as tmp:
+            doc_file = os.path.join(tmp, "doc.json")
+            with open(doc_file, "w") as fh:
+                json.dump(doc, fh)
+            for command in ("validate", "identify"):
+                code, err = _run_main([command, doc_file])
+                assert code in (None, 0, 1, 2)
+                if code == 2:
+                    assert err.startswith("input error: ") and err.count("\n") == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=st.sampled_from(["zn", "za", "group-ring", "trunc-poly", "end", "ring"]),
+        params=st.lists(
+            st.sampled_from(["-1", "0", "1", "2", "3", "5", "x", "", "2x3", "3,0",
+                             "cyclic", "cyclic:3", "cyclic:0", "dihedral:4", "dihedral:3",
+                             "cyclic:2*cyclic:2", "quaternion", "direct-product:2", "q:1"]),
+            max_size=3,
+        ),
+    )
+    def test_catalog_arguments(self, family, params):
+        code, err = _run_main(["catalog", family] + params)
+        assert code in (None, 0, 1, 2)
+        if code == 2:
+            assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_empty_heap_is_an_input_error_for_identify(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"kind": "heap", "order": 0}))
+        assert _run_main(["validate", str(path)])[0] == 0
+        code, err = _run_main(["identify", str(path)])
+        assert code == 2 and err.startswith("input error: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["catalog", "zn"], "catalog zn: expected 1 parameter(s), got 0"),
+        (["catalog", "za", "2"], "catalog za: expected 2 parameter(s), got 1"),
+    ])
+    def test_catalog_parameter_count(self, argv, message):
+        code, err = _run_main(argv)
+        assert code == 2 and message in err

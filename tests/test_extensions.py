@@ -95,6 +95,13 @@ class TestAnchorIso:
             ext2, phi = anchor_iso(ext, e2)
             assert sorted(int(v) for v in phi) == list(range(16))
 
+    def test_target_is_the_extension_at_e2(self):
+        ext = ext16()
+        for e2 in range(4):
+            ext2, _ = anchor_iso(ext, e2)
+            assert ext2.anchor == e2
+            assert ext2.truss == extend(ext.base, ext.module, e2).truss
+
     def test_composition_is_identity(self):
         ext = ext_z2()
         ext2, fwd = anchor_iso(ext, 1)
