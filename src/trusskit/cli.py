@@ -69,17 +69,8 @@ def _structure_summary(obj):
     return out
 
 
-def _load_doc(path):
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SystemExit("parse error in %s at byte %d: %s" % (path, exc.pos, exc.msg))
-
-
 def cmd_validate(args):
-    obj, report = jsonio.validate(_load_doc(args.file))
+    obj, report = jsonio.validate(jsonio.read_doc(args.file))
     return report, {} if obj is None else {"structure": obj}
 
 

@@ -56,12 +56,33 @@ class FiniteGroup:
         return inv
 
     def law_report(self):
+        """Inverses, and associativity by Light's test: (xa)y = x(ay) for
+        a in {identity} plus ``generators`` decides it."""
         report = Report("group laws (order %d)" % self.order)
-        w = associativity_witness(self.mul, self.mul)
+        w = associativity_witness(self.mul, self.mul, mids=[self.id] + self.generators())
         report.add("group.associative", w is None, w)
         idx = np.arange(self.order)
         report.add("group.inverse", bool((self.mul[idx, self.inv] == self.id).all()))
         return report
+
+    def generators(self, pick=np.argmin):
+        """Picks until every element is a product of picks; ``pick`` maps the
+        span's mask to the next (default: the smallest element outside it).
+        In a group each pick at least doubles the span: at most log2(order).
+        Not cached: a value stored in the instance dict slows every attribute
+        read of the group, such as those in ``closure``'s loop.
+        """
+        in_span = np.zeros(self.order, dtype=bool)
+        in_span[self.id] = True
+        gens = []
+        while not in_span.all():
+            gens.append(int(pick(in_span)))
+            new = np.flatnonzero(in_span)
+            while new.size:
+                new = np.unique(self.mul[np.ix_(new, gens)])
+                new = new[~in_span[new]]
+                in_span[new] = True
+        return gens
 
     @classmethod
     def from_abgroup(cls, g):
@@ -278,22 +299,6 @@ def abelian_coordinates(g):
     return basis, coords
 
 
-def _greedy_generators(g):
-    orders = g.element_orders()
-    gens = []
-    covered = {g.id}
-    while len(covered) < g.order:
-        best = -1
-        for x in range(g.order):
-            if x in covered:
-                continue
-            if best < 0 or orders[x] > orders[best]:
-                best = x
-        gens.append(best)
-        covered = set(g.closure(set(covered) | {best}))
-    return gens
-
-
 def _word_table(g, gens):
     """Discovery order of all elements as products of generators.
 
@@ -332,9 +337,9 @@ def is_isomorphic(g, h, node_budget=NODE_BUDGET):
         return None
     if g.order == 1:
         return [0]
-    gens = _greedy_generators(g)
+    g_orders = g.element_orders()  # each pick an element of largest order outside the span
+    gens = g.generators(lambda in_span: np.argmax(np.where(in_span, 0, g_orders)))
     words = _word_table(g, gens)
-    g_orders = g.element_orders()
     h_orders = h.element_orders()
     candidates = [
         [int(v) for v in np.flatnonzero(h_orders == g_orders[gen])] for gen in gens

@@ -91,10 +91,13 @@ class AbGroup:
         return neg
 
     def law_report(self):
+        """Commutativity, inverses, and associativity by Light's test:
+        (xa)y = x(ay) for a in {zero} plus ``generators`` decides it."""
         report = Report("group laws (order %d)" % self.order)
         w = grid_witness(self.add, self.add.T)
         report.add("group.commutative", w is None, w)
-        w = associativity_witness(self.add, self.add)
+        w = associativity_witness(self.add, self.add,
+                                  mids=np.concatenate(([self.zero], self.generators)))
         report.add("group.associative", w is None, w)
         report.add(
             "group.inverse",
@@ -248,6 +251,11 @@ def retract(h, e):
     add = h.bracket_arrays(idx[:, None], e, idx[None, :])
     # Lawful for any e by the heap axioms; revalidated by the property suite.
     return AbGroup(add, labels=h.labels, check=False)
+
+
+def heap_generators(h):
+    """The basepoint and its retract's generators: heap morphisms agreeing there agree."""
+    return np.concatenate(([h.basepoint], h.retract.generators))
 
 
 def translate(h, e, e2):

@@ -19,9 +19,9 @@ every document nested in it, is an object of a known kind with that kind's
 required fields, and raises ``ValueError`` naming what is missing.  Then it
 builds the structure once with ``check=False`` and returns it with a report:
 the kind's law reports, the declared ``zero``, ``identity`` and ``absorber``,
-and the ``extension`` rebuild as named checks, and a law a constructor
-rejects as a failing check with its witness.  ``from_jsonable`` is
-``validate`` followed by ``Report.raise_invalid``.
+and the ``extension`` (compared with T[M; e], not rebuilt) as named checks,
+and a law a constructor rejects as a failing check with its witness.
+``from_jsonable`` is ``validate`` followed by ``Report.raise_invalid``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 
 from .braces import Brace, brace_law_report
-from .extensions import ExtTruss, extend
+from .extensions import ExtTruss, as_extension
 from .groups import FiniteGroup
 from .heaps import AbGroup, Heap, heap_from_group, heap_law_report
 from .lawcheck import Report, ValidationError
@@ -191,8 +191,8 @@ def _read(doc):
             base, module = part(ext["base"]), part(ext["module"])
             if base is None or module is None:
                 return None, report
-            rebuilt = extend(base, module, ext["anchor"])
-            return (rebuilt if report.add("declared_extension", rebuilt.truss == t) else t), report
+            wrapped = as_extension(t, base, module, ext["anchor"])
+            return (wrapped if report.add("declared_extension", wrapped is not None) else t), report
         if kind == "tmodule":
             truss, heap = part(doc["truss"]), part(doc["heap"])
             if truss is None or heap is None:
@@ -242,6 +242,15 @@ def write_file(path, obj):
         fh.write(dumps(obj))
 
 
-def read_file(path):
+def read_doc(path):
+    """The JSON document in ``path``; ``ValueError`` with the byte offset if it does not parse."""
     with open(path) as fh:
-        return loads(fh.read())
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError("parse error in %s at byte %d: %s" % (path, exc.pos, exc.msg)) from exc
+
+
+def read_file(path):
+    return from_jsonable(read_doc(path))

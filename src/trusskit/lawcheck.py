@@ -1,9 +1,10 @@
 """Shared law-checking machinery.
 
 Every structure in this library is a finite operation table, and every axiom
-is checked exhaustively.  Associativity is checked row by row; the
-distributivity-type laws reduce to "this row is a heap morphism", which
-``heaps.morphism_witness`` decides on a generating set of a retract.  This
+is checked exhaustively.  Associativity is decided on generators
+(``associativity_witness``); the distributivity-type laws reduce to "this
+row is a heap morphism", which ``heaps.morphism_witness`` decides on a
+generating set of a retract.  This
 module holds the common pieces: the error types, the ``Check``/``Report``
 records that validators and the CLI emit, and the witness helpers.
 """
@@ -90,17 +91,6 @@ class Report:
                 raise ValidationError(c.name, c.witness)
         return self
 
-    def require(self):
-        """Raise ``ConsistencyError`` if any check failed (oracle reports)."""
-        bad = self.failures()
-        if bad:
-            detail = "; ".join(
-                c.name if c.witness is None else "%s at %s" % (c.name, c.witness)
-                for c in bad
-            )
-            raise ConsistencyError("%s: %s" % (self.title, detail))
-        return self
-
     def to_dict(self):
         return {
             "title": self.title,
@@ -140,15 +130,37 @@ def grid_witness(lhs, rhs):
     return tuple(int(v) for v in np.argwhere(diff)[0])
 
 
-def associativity_witness(mul, act):
+def associativity_witness(mul, act, mids=None, lasts=None):
     """First (s, t, x) with s(tx) != (st)x, or None.
 
     ``mul`` is a k x k multiplication and ``act`` a k x m table of its action
-    (``act = mul`` checks ``mul`` itself).  One row s at a time, so no array
-    larger than k * m is built.
+    (``act = mul`` checks ``mul`` itself).  Two index sets decide the law at
+    n^2 (r + 1) instead of n^3:
+
+    * ``lasts`` restricts x to the carrier's basepoint e and its retract's
+      generators, once every row x -> tx is a heap morphism.  Then
+      x -> s(tx) and x -> (st)x are heap morphisms, additive maps of
+      retracts, so they agree everywhere if they agree on e and generators.
+    * ``mids`` restricts t to the identity and elements whose products
+      reach every element (Light's test): the t with s(tx) = (st)x for all
+      s, x are closed under products, s((ab)x) = (sa)(bx) = (s(ab))x.
+
+    A restricted check that fails is followed by the full scan, so the
+    witness is always the lexicographically first failing (s, t, x).  Rows s
+    go in blocks that keep every array within k * m entries.
     """
-    for s in range(len(mul)):
-        w = grid_witness(act[s][act], act[mul[s]])
-        if w is not None:
-            return (s,) + w
+    k, m = act.shape
+    ts = np.arange(k) if mids is None else np.asarray(mids)
+    xs = np.arange(m) if lasts is None else np.asarray(lasts)
+    inner = act[np.ix_(ts, xs)]
+    step = max(1, k * m // max(1, inner.size))
+    for lo in range(0, k, step):
+        prod = mul[lo:lo + step, ts]
+        rhs = act[prod] if lasts is None else act[prod[:, :, None], xs]
+        w = grid_witness(act[lo:lo + step][:, inner], rhs)
+        if w is None:
+            continue
+        if mids is not None or lasts is not None:
+            return associativity_witness(mul, act)
+        return (lo + w[0], int(ts[w[1]]), int(xs[w[2]]))
     return None

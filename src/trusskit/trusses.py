@@ -17,6 +17,7 @@ from .heaps import (
     AbGroup,
     SubHeap,
     heap_from_group,
+    heap_generators,
     morphism_witness,
     quotient_heap,
     retract,
@@ -106,8 +107,10 @@ def truss_law_report(t, seed=None):
     row x -> ax of ``mul`` is a heap morphism, right distributivity the same
     of each column; ``morphism_witness`` decides both, and a failure is the
     law instance (a, x, e, g): a[x, e, g] != [ax, ae, ag] (mirrored for the
-    right law).  For left trusses the right law is skipped and noted.
-    ``seed`` is accepted and ignored, since nothing is sampled.
+    right law).  Once left distributivity holds, x -> s(tx) and x -> (st)x
+    are heap morphisms, so associativity needs x only at the basepoint and
+    the retract's generators (``associativity_witness``).  For left trusses
+    the right law is skipped and noted.  ``seed`` is ignored.
     """
     n = t.order
     report = Report("truss laws (order %d)" % n)
@@ -115,10 +118,10 @@ def truss_law_report(t, seed=None):
         report.note("empty truss: laws hold vacuously")
         return report
     mul = t.mul
-    w = associativity_witness(mul, mul)
+    left = morphism_witness(mul, t.heap, t.heap)
+    w = associativity_witness(mul, mul, lasts=None if left else heap_generators(t.heap))
     report.add("truss.associative", w is None, w)
-    w = morphism_witness(mul, t.heap, t.heap)
-    report.add("truss.left_distributive", w is None, w)
+    report.add("truss.left_distributive", left is None, left)
     if t.sided == TWO_SIDED:
         w = morphism_witness(mul.T, t.heap, t.heap)
         report.add("truss.right_distributive", w is None, w)
@@ -139,13 +142,14 @@ def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED):
     is a heap morphism fixing zero, so ring distributivity is the truss
     distributivity of ``morphism_witness`` plus "the ring zero is the
     absorber"; a failure is reported as a ring instance (a, b, c) of
-    a(b + c) != ab + ac (or its mirror).
+    a(b + c) != ab + ac (or its mirror).  Associativity as in ``truss_law_report``.
     """
     if not isinstance(add, AbGroup):
         add = AbGroup(add)
     mul = _square_table(mul, "ring")
     heap = heap_from_group(add)
-    w = associativity_witness(mul, mul)
+    left = morphism_witness(mul, heap, heap)
+    w = associativity_witness(mul, mul, lasts=None if left else heap_generators(heap))
     if w is not None:
         raise ValidationError("ring.associative", w)
     zero = add.zero
@@ -153,7 +157,7 @@ def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED):
         moved = np.flatnonzero(rows[:, zero] != zero)
         if moved.size:
             raise ValidationError(law, (moved[0], zero, zero))
-        w = morphism_witness(rows, heap, heap)
+        w = left if rows is mul else morphism_witness(rows, heap, heap)
         if w is not None:
             raise ValidationError(law, (w[0], w[1], w[3]))
     return Truss(heap, mul, sided=sided, labels=labels, check=False)
@@ -173,8 +177,8 @@ class Paragon:
     """A verified sub-heap closed under the relative translates.
 
     ``kind`` is "left", "right", "two-sided" or "ideal".  Closure holds for
-    every q in the member set, not only the stored witness (checked at
-    classification time).
+    every q in the member set, not only the stored witness: on a sub-heap,
+    closure at one q implies it at every q (see ``is_paragon``).
     """
 
     def __init__(self, parent, members, kind, witness=None):
@@ -214,10 +218,10 @@ class ParagonReport:
 def is_paragon(t, members):
     """Classify a subset: ideal > two-sided > left/right paragon > none.
 
-    Closure is tested for every q in the subset; the all-or-none behaviour of
-    the witness choice is asserted (a mixed outcome would contradict the
-    theory and raises ``ConsistencyError``).  For left trusses only the
-    lambda closure applies and the possible kinds are "left" and "none".
+    After the sub-heap test, closure is tested at q = members[0] only (n |P|
+    instead of |P|^2 n): lambda_q'(x, p) = [lambda_q(x, p), lambda_q(x, q'), q']
+    holds in any heap, so on a sub-heap one q decides every q (rho alike).
+    For left trusses only lambda closure applies: kinds "left" and "none".
     """
     members = tuple(sorted({int(m) for m in members}))
     if not members:
@@ -236,27 +240,19 @@ def is_paragon(t, members):
         failures["subheap"] = tuple(members[i] for i in w)
         return ParagonReport("none", failures=failures)
 
-    idx = np.arange(n)
-    lam_flags = []
-    rho_flags = []
-    for q in members:
-        lam = t.bracket_arrays(t.mul[idx[:, None], sarr[None, :]], t.mul[idx, q][:, None], q)
-        ok = bool(mask[lam].all())
-        lam_flags.append(ok)
-        if not ok and "lambda" not in failures:
-            x, pi = grid_witness(mask[lam], True)
-            failures["lambda"] = (q, x, members[pi])
-        if t.sided == TWO_SIDED:
-            rho = t.bracket_arrays(t.mul[sarr[:, None], idx[None, :]], t.mul[q, idx][None, :], q)
-            ok = bool(mask[rho].all())
-            rho_flags.append(ok)
-            if not ok and "rho" not in failures:
-                pi, x = grid_witness(mask[rho], True)
-                failures["rho"] = (q, members[pi], x)
-    if len(set(lam_flags)) > 1 or (rho_flags and len(set(rho_flags)) > 1):
-        raise ConsistencyError("closure depends on the witness q; theory violated")
-    lam_ok = lam_flags[0]
-    rho_ok = rho_flags[0] if rho_flags else False
+    idx, q = np.arange(n), members[0]
+    lam = t.bracket_arrays(t.mul[idx[:, None], sarr[None, :]], t.mul[idx, q][:, None], q)
+    w = grid_witness(mask[lam], True)
+    lam_ok = w is None
+    if not lam_ok:
+        failures["lambda"] = (q, w[0], members[w[1]])
+    rho_ok = False
+    if t.sided == TWO_SIDED:
+        rho = t.bracket_arrays(t.mul[sarr[:, None], idx[None, :]], t.mul[q, idx][None, :], q)
+        w = grid_witness(mask[rho], True)
+        rho_ok = w is None
+        if not rho_ok:
+            failures["rho"] = (q, members[w[0]], w[1])
 
     if t.sided == LEFT:
         if lam_ok:
@@ -432,35 +428,23 @@ def units_paragon_report(t):
         raise ValueError("units_paragon_report needs a unital ring-truss")
     one, zero = t.identity, t.absorber
     us = units(t)
-    uarr = np.array(us)
     mask = np.zeros(t.order, dtype=bool)
-    mask[uarr] = True
-
-    vals = t.bracket_arrays(uarr[:, None, None], uarr[None, :, None], uarr[None, None, :])
-    w = grid_witness(mask[vals], True)
-    subheap_ok = w is None
-    subheap_witness = None if w is None else tuple(us[i] for i in w)
-
-    idx = np.arange(t.order)
-    one_minus = t.bracket_arrays(one, idx, zero)
+    mask[list(us)] = True
+    one_minus = t.bracket_arrays(one, np.arange(t.order), zero)
     predicate = bool((mask ^ mask[one_minus]).all())
 
-    kind = "none"
-    quotient = proj = None
-    classes = None
+    result = is_paragon(t, us)  # kind "none" with a "subheap" witness if not a sub-heap
+    subheap_witness = result.failures.get("subheap")
+    quotient = proj = classes = char2 = None
     mod2 = False
-    char2 = None
-    if subheap_ok:
-        result = is_paragon(t, us)
-        kind = result.kind
-        if result.is_paragon:
-            quotient, proj = quotient_truss(t, result.paragon)
-            classes = quotient.order
-            mod2 = classes == 2 and truss_isomorphism(quotient, _z2_truss()) is not None
-            c1, c0 = int(proj[one]), int(proj[zero])
-            char2 = quotient.bracket(c1, c0, c1) == c0
+    if result.is_paragon:
+        quotient, proj = quotient_truss(t, result.paragon)
+        classes = quotient.order
+        mod2 = classes == 2 and truss_isomorphism(quotient, _z2_truss()) is not None
+        c1, c0 = int(proj[one]), int(proj[zero])
+        char2 = quotient.bracket(c1, c0, c1) == c0
 
-    paragon_ok = kind in ("two-sided", "ideal")
+    paragon_ok = result.is_paragon
     if (paragon_ok and mod2) != predicate:
         raise ConsistencyError(
             "units paragon/quotient state disagrees with the unit-or-complement predicate"
@@ -468,9 +452,9 @@ def units_paragon_report(t):
     return UnitsParagonReport(
         order=t.order,
         units=us,
-        is_subheap=subheap_ok,
+        is_subheap=subheap_witness is None,
         subheap_witness=subheap_witness,
-        kind=kind,
+        kind=result.kind,
         is_paragon=paragon_ok,
         unit_or_one_minus_unit=predicate,
         quotient=quotient,

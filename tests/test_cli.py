@@ -63,9 +63,11 @@ class TestValidate:
     def test_parse_error_has_byte_offset(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"kind": "truss", ')
-        with pytest.raises(SystemExit) as err:
-            main(["validate", str(path)])
-        assert "byte" in str(err.value)
+        for cmd in ("validate", "identify"):
+            assert main([cmd, str(path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("input error: parse error in ")
+            assert "at byte 18" in err[0]
 
     def test_brace_and_group_files(self, tmp_path, capsys):
         from trusskit import brace_from_truss, dihedral_group

@@ -26,7 +26,9 @@ from trusskit import (
     za_truss,
     zn_truss,
 )
+from trusskit import jsonio, trusses
 from trusskit.catalog import left_translation_truss
+from trusskit.extensions import ExtTruss
 from trusskit.modules import TModule
 
 
@@ -107,6 +109,43 @@ class TestAnchorIso:
         ext2, fwd = anchor_iso(ext, 1)
         _, back = anchor_iso(ext2, 0)
         assert list(np.array(back)[fwd]) == list(range(4))
+
+
+class TestDocument:
+    """Loading an extension document compares the stored table with T[M; e]
+    instead of rebuilding it, so the order-nm table is scanned once."""
+
+    @staticmethod
+    def doc(e=0):
+        base = za_truss(2, 8)
+        return jsonio.to_jsonable(extend(base, regular_module(base), e))
+
+    def test_one_law_scan_per_table(self, monkeypatch):
+        doc, orders = self.doc(), []
+
+        def counted(t, *args, **kwargs):
+            orders.append(t.order)
+            return truss_law_report(t, *args, **kwargs)
+
+        monkeypatch.setattr(jsonio, "truss_law_report", counted)
+        monkeypatch.setattr(trusses, "truss_law_report", counted)
+        ext = jsonio.from_jsonable(doc)
+        assert orders == [64, 8, 8]
+        assert isinstance(ext, ExtTruss) and ext.anchor == 0
+        assert ext.truss == extend(ext.base, ext.module, 0).truss
+
+    def test_other_anchor_is_a_failed_check(self):
+        doc = self.doc()
+        doc["extension"]["anchor"] = 1
+        obj, report = jsonio.validate(doc)
+        assert [c.name for c in report.failures()] == ["declared_extension"]
+        assert not isinstance(obj, ExtTruss) and obj.order == 64
+
+    def test_module_over_another_base_is_an_input_error(self):
+        doc = self.doc()
+        doc["extension"]["base"] = jsonio.to_jsonable(zn_truss(8))
+        with pytest.raises(ValueError, match="not a module over"):
+            jsonio.validate(doc)
 
 
 class TestExtensionAction:

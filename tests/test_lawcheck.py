@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from trusskit import (
     AbGroup,
     Brace,
+    ConsistencyError,
     FiniteGroup,
     TModule,
     Truss,
@@ -26,6 +27,8 @@ from trusskit import (
     brace_ideals,
     brace_law_report,
     cyclic_group,
+    dihedral_group,
+    direct_product,
     end_truss,
     extend,
     group_from_spec,
@@ -33,8 +36,10 @@ from trusskit import (
     heap_from_group,
     ideal_cosets,
     ideal_iff_normal_paragon,
+    is_paragon,
     module_law_report,
     product_module,
+    quaternion_group,
     regular_module,
     trivial_module,
     trunc_poly_truss,
@@ -47,7 +52,8 @@ from trusskit import (
     zn_truss,
 )
 from trusskit.catalog import left_translation_truss
-from trusskit.heaps import morphism_witness
+from trusskit.heaps import morphism_witness, retract
+from trusskit.trusses import ParagonReport
 
 ORACLE = settings(max_examples=150, deadline=None)
 
@@ -293,6 +299,205 @@ class TestBraceLaws:
             assert check.passed == (not failing.any())
             if not check.passed:
                 assert failing[check.witness]
+
+
+# ------------------------------------------- associativity: reduced vs scan
+# The law reports decide associativity on generators (x at the basepoint and
+# the retract's generators once the rows are heap morphisms; Light's test for
+# groups) and fall back to the row scan when that fails.  Verdict and witness
+# must equal the oracle's lexicographically first failing (s, t, x).
+
+def _first(failing):
+    hits = np.argwhere(failing)
+    return tuple(int(v) for v in hits[0]) if hits.size else None
+
+
+def _left_affine(data, rows, n):
+    """mul[a, x] = alpha_a x + beta_a mod n: every row is a heap morphism of
+    Z_n, but the table is usually not associative."""
+    alpha = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows)))
+    beta = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows)))
+    return (alpha[:, None] * np.arange(n)[None, :] + beta[:, None]) % n
+
+
+def _cyclic_group(data):
+    """Z_n re-anchored at a drawn zero, so the basepoint is not always the
+    smallest generator (the reduced check then meets x out of order)."""
+    n = data.draw(st.integers(1, 12))
+    return retract(heap_from_group(AbGroup.cyclic(n)), data.draw(st.integers(0, n - 1)))
+
+
+def _truss_table(data):
+    """(heap, mul, sided): a lawful truss, corrupted or not, or a left-affine table."""
+    if data.draw(st.booleans()):
+        heap = heap_from_group(_cyclic_group(data))
+        return heap, _left_affine(data, heap.order, heap.order), \
+            data.draw(st.sampled_from(["two-sided", "left"]))
+    t = data.draw(st.sampled_from(_trusses()))
+    return t.heap, _corrupt(data, t.mul, t.order), t.sided
+
+
+def _finite_groups():
+    return [dihedral_group(6), dihedral_group(8), quaternion_group(), dihedral_group(12),
+            direct_product(dihedral_group(6), cyclic_group(2)), cyclic_group(12)]
+
+
+class TestReducedAssociativity:
+    @ORACLE
+    @given(st.data())
+    def test_truss(self, data):
+        heap, mul, sided = _truss_table(data)
+        report = truss_law_report(Truss(heap, mul, sided=sided, check=False))
+        check = _check(report, "truss.associative")
+        assert check.witness == _first(_assoc_oracle(mul, mul))
+        assert check.passed == (check.witness is None)
+
+    @ORACLE
+    @given(st.data())
+    def test_ring(self, data):
+        if data.draw(st.booleans()):
+            add = _cyclic_group(data)
+            mul = _left_affine(data, add.order, add.order)
+        else:
+            add, mul = data.draw(st.sampled_from(_rings()))
+            mul = _corrupt(data, mul, add.order)
+        expected = _first(_assoc_oracle(mul, mul))
+        try:
+            truss_from_ring(add, mul)
+        except ValidationError as err:
+            if err.law == "ring.associative":
+                assert err.witness == expected
+                return
+        assert expected is None
+
+    @ORACLE
+    @given(st.data())
+    def test_module(self, data):
+        mod = data.draw(st.sampled_from(_modules()))
+        if data.draw(st.booleans()):  # every row affine: the carrier law holds
+            heap = heap_from_group(_cyclic_group(data))
+            act = _left_affine(data, mod.truss.order, heap.order)
+        else:
+            heap, act = mod.heap, _corrupt(data, mod.action, mod.order)
+        report = module_law_report(TModule(mod.truss, heap, act, check=False))
+        check = _check(report, "module.associative")
+        assert check.witness == _first(_assoc_oracle(mod.truss.mul, act))
+        assert check.passed == (check.witness is None)
+
+    @ORACLE
+    @given(st.data())
+    def test_abgroup(self, data):
+        g = data.draw(st.sampled_from(GROUPS))
+        add = _corrupt(data, g.add, g.order)
+        if data.draw(st.booleans()):  # commutative, so that check does not mask this one
+            add = np.minimum(add, add.T)
+        try:
+            bad = AbGroup(add, check=False)
+        except ValidationError:  # the corruption removed the zero or an inverse
+            return
+        check = _check(bad.law_report(), "group.associative")
+        assert check.witness == _first(_assoc_oracle(add, add))
+
+    @ORACLE
+    @given(st.data())
+    def test_finite_group(self, data):
+        g = data.draw(st.sampled_from(_finite_groups()))
+        mul = _corrupt(data, g.mul, g.order)
+        mul[g.id, :] = mul[:, g.id] = np.arange(g.order)
+        try:
+            bad = FiniteGroup(mul, check=False)
+        except ValidationError:  # the corruption removed an inverse
+            return
+        check = _check(bad.law_report(), "group.associative")
+        assert check.witness == _first(_assoc_oracle(mul, mul))
+
+    @pytest.mark.parametrize("g", _finite_groups(),
+                             ids=["D6", "D8", "Q8", "D12", "D6xC2", "C12"])
+    def test_finite_group_generators_span(self, g):
+        gens = g.generators()
+        assert len(gens) <= math.floor(math.log2(g.order))
+        assert set(g.closure(gens)) == set(range(g.order))
+
+
+# ------------------------------------------------ paragons: one q vs every q
+
+def _paragon_oracle(t, members):
+    """The former classification, which tested closure at every q in P."""
+    members = tuple(sorted(set(members)))
+    n = t.order
+    sarr = np.array(members)
+    mask = np.zeros(n, dtype=bool)
+    mask[sarr] = True
+    failures = {}
+    for a, b, c in itertools.product(members, repeat=3):
+        if not mask[t.bracket(a, b, c)]:
+            failures["subheap"] = (a, b, c)
+            return "none", None, failures
+    lam_flags, rho_flags = [], []
+    for q in members:
+        lam = [(x, p) for x in range(n) for p in members
+               if not mask[t.bracket(t.mul[x, p], t.mul[x, q], q)]]
+        lam_flags.append(not lam)
+        if lam and "lambda" not in failures:
+            failures["lambda"] = (q,) + lam[0]
+        if t.sided == "two-sided":
+            rho = [(p, x) for p in members for x in range(n)
+                   if not mask[t.bracket(t.mul[p, x], t.mul[q, x], q)]]
+            rho_flags.append(not rho)
+            if rho and "rho" not in failures:
+                failures["rho"] = (q,) + rho[0]
+    if len(set(lam_flags)) > 1 or len(set(rho_flags)) > 1:
+        raise ConsistencyError("closure depends on the witness q")
+    lam_ok, rho_ok = lam_flags[0], bool(rho_flags and rho_flags[0])
+    if t.sided == "left":
+        return ("left", members, {}) if lam_ok else ("none", None, failures)
+    if mask[t.mul[:, sarr]].all() and mask[t.mul[sarr, :]].all():
+        return "ideal", members, {}
+    if lam_ok and rho_ok:
+        return "two-sided", members, {}
+    if lam_ok or rho_ok:
+        return ("left" if lam_ok else "right"), members, failures
+    return "none", None, failures
+
+
+def _compare_paragon(t, members):
+    got = is_paragon(t, members)
+    assert isinstance(got, ParagonReport)
+    members_got = None if got.paragon is None else got.paragon.members
+    assert (got.kind, members_got, got.failures) == _paragon_oracle(t, members)
+
+
+@pytest.mark.parametrize("name,build", [("za2_8", lambda: za_truss(2, 8)),
+                                        ("left_translation", left_translation_truss)]
+                         + [("zn%d" % n, functools.partial(zn_truss, n)) for n in range(1, 9)])
+def test_paragon_every_subset_matches_all_q_oracle(name, build):
+    t = build()
+    for bits in range(1, 1 << t.order):
+        _compare_paragon(t, [x for x in range(t.order) if bits >> x & 1])
+
+
+@functools.lru_cache(maxsize=None)
+def _order16():
+    base = za_truss(2, 4)
+    return [zn_truss(16), za_truss(2, 16), extend(base, regular_module(base), 0).truss]
+
+
+@ORACLE
+@given(st.data())
+def test_paragon_random_order_16_subsets_match_all_q_oracle(data):
+    t = data.draw(st.sampled_from(_order16()))
+    if data.draw(st.booleans()):
+        members = data.draw(st.sets(st.integers(0, 15), min_size=1))
+    else:  # the sub-heap a few elements generate, so the closure tests run
+        members = data.draw(st.sets(st.integers(0, 15), min_size=1, max_size=3))
+        while True:
+            arr = np.array(sorted(members))
+            grown = members | set(t.bracket_arrays(
+                arr[:, None, None], arr[None, :, None], arr[None, None, :]).ravel().tolist())
+            if grown == members:
+                break
+            members = grown
+    _compare_paragon(t, sorted(members))
 
 
 # ----------------------------------------------------------- ternary tables
