@@ -19,6 +19,7 @@ from .heaps import (
     quotient_heap,
     retract,
     subheap_relation_classes,
+    subheap_witness,
     translate,
     validate_ternary_table,
 )

@@ -23,6 +23,7 @@ from .heaps import (
     morphism_witness,
     retract,
     subheap_relation_classes,
+    subheap_witness,
 )
 from .lawcheck import (
     ConsistencyError,
@@ -292,13 +293,9 @@ def units_brace(t):
     """
     us = units(t)
     uarr = np.array(us)
-    mask = np.zeros(t.order, dtype=bool)
-    mask[uarr] = True
-    vals = t.bracket_arrays(uarr[:, None, None], uarr[None, :, None], uarr[None, None, :])
-    w = grid_witness(mask[vals], True)
+    w = subheap_witness(t, us)
     if w is not None:
-        raise ValidationError("units.subheap", tuple(us[i] for i in w),
-                              "unit set is not a sub-heap")
+        raise ValidationError("units.subheap", w, "unit set is not a sub-heap")
     labels = [t.label_of(u) for u in us]
     add = AbGroup(restrict_table(retract(t.heap, t.identity).add, uarr), labels=labels)
     mulgroup = FiniteGroup(restrict_table(t.mul, uarr), labels=labels)

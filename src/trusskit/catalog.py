@@ -4,17 +4,17 @@ Modular rings and their trusses; the commutative unital trusses on the
 integers with product m.n = a m n + m + n and their finite quotients; group
 rings with the augmentation map; truncated polynomial rings over Z_{2^k}
 with the explicit unit-inverse series; endomorphism-ring extensions; and
-bounded-range probes of the genuinely infinite integer examples.
+residue checks of the genuinely infinite integer examples.
 
-Infinite objects are never materialised: integer claims are checked with
-arbitrary-precision arithmetic on seeded sample ranges.
+Infinite objects are never materialised.  Each integer claim is an identity
+between integer polynomials, so its truth mod n depends only on the residues
+of its arguments: checking every residue mod n is exhaustive over Z.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,13 +38,17 @@ class Ring:
     mul: np.ndarray
     unital: bool
     labels: tuple | None = None
+    _truss: Truss | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self):
         return self.add.order
 
     def truss(self):
-        return truss_from_ring(self.add, self.mul, labels=self.labels)
+        """The ring's truss, built and law-checked on the first call only."""
+        if self._truss is None:
+            self._truss = truss_from_ring(self.add, self.mul, labels=self.labels)
+        return self._truss
 
 
 def zn_ring(n):
@@ -85,28 +89,27 @@ def za_power(a, m, k):
     return closed
 
 
-def _za_paragon_probe(a, N, samples=64, seed=0):
-    """Sampled big-integer check that N Z is closed under the relative
-    translates of the integer truss with product za_mul: the identity is 0
-    and m .0 (kN) = (a m k + k) N stays a multiple of N."""
-    rng = random.Random(seed)
-    for _ in range(samples):
-        m = rng.randint(-10**6, 10**6)
-        k = rng.randint(-10**6, 10**6)
-        shifted = za_mul(a, m, k * N) - m  # lambda^0(m, kN) = [m.(kN), m.0, 0]
-        if shifted % N or shifted != (a * m * k + k) * N:
-            raise ConsistencyError("N Z closure identity failed at m=%d k=%d" % (m, k))
-
-
-def za_truss(a, N, samples=64, seed=0):
+def za_truss(a, N, seed=None):
     """The quotient of the integer truss (heap from +, product a m n + m + n)
-    by the paragon N Z, materialised as tables mod N.  Identity is 0."""
+    by the paragon N Z, materialised as tables mod N.  Identity is 0.
+
+    N Z is closed under the relative translates at q = 0:
+    [m.p, m.0, 0] and [p.m, 0.m, 0] lie in N Z for every integer m and p in
+    N Z.  Both are polynomials in a, m and p, so their residue mod N depends
+    only on a mod N, m mod N and p mod N = 0; the check runs over every
+    residue m with p = N and is exhaustive over Z.  Reducing a keeps every
+    int64 below N^3.  ``seed`` is ignored.
+    """
     if a < 1 or N < 1:
         raise ValueError("need a >= 1 and N >= 1")
-    _za_paragon_probe(a, N, samples=samples, seed=seed)
-    idx = np.arange(N, dtype=np.int64)
+    idx, a_res = np.arange(N, dtype=np.int64), a % N
+    lam = za_mul(a_res, idx, N) - za_mul(a_res, idx, 0)
+    rho = za_mul(a_res, N, idx) - za_mul(a_res, 0, idx)
+    bad = np.flatnonzero((lam % N != 0) | (rho % N != 0))
+    if bad.size:
+        raise ConsistencyError("N Z closure identity failed at m=%d" % bad[0])
     add = AbGroup.cyclic(N)
-    mul = (a * idx[:, None] * idx[None, :] + idx[:, None] + idx[None, :]) % N
+    mul = za_mul(a_res, idx[:, None], idx[None, :]) % N
     t = Truss(heap_from_group(add), mul, labels=add.labels)
     if t.identity != 0:
         raise ConsistencyError("0 is not the identity of the quotient truss")
@@ -126,18 +129,22 @@ def multiplicative_order_of_one(a, N):
     return k
 
 
-def order_congruence_check(kmax, m_range=20):
+def order_congruence_check(kmax):
     """For a = 2: the 2^k-th power of every m vanishes mod 2^(k+1), and 1 has
-    multiplicative order exactly 2^k in the quotient mod 2^(k+1)."""
+    multiplicative order exactly 2^k in the quotient mod 2^(k+1).
+
+    The power is ((2m + 1)^(2^k) - 1) / 2, so its residue mod 2^(k+1) is
+    fixed by (2m + 1) mod 2^(k+2), that is by m mod 2^(k+1).  m runs over
+    every such residue, which is exhaustive over Z; a failure's witness is
+    the first failing m.
+    """
     if kmax > 10:
         raise ValueError("kmax is bounded at 10")
     report = Report("power congruence and maximal order (k <= %d)" % kmax)
     for k in range(1, kmax + 1):
         modulus = 2 ** (k + 1)
-        ok = all(
-            za_power(2, m, 2 ** k) % modulus == 0 for m in range(-m_range, m_range + 1)
-        )
-        report.add("power_congruence_k%d" % k, ok)
+        bad = [m for m in range(modulus) if za_power(2, m, 2 ** k) % modulus]
+        report.add("power_congruence_k%d" % k, not bad, bad[:1] or None)
         report.add(
             "order_of_one_k%d" % k, multiplicative_order_of_one(2, modulus) == 2 ** k
         )
@@ -230,7 +237,7 @@ def group_ring_paragon_report(gr):
     """Each augmentation fiber is a paragon; it is a sub-truss exactly when
     its augmentation value is idempotent; the quotient by it returns the
     coefficient ring's truss."""
-    t = gr.ring.truss()
+    t, base_t = gr.ring.truss(), gr.base.truss()
     report = Report("augmentation fibers of a group ring (order %d)" % t.order)
     rmul = gr.base.mul
     for r in range(gr.base.order):
@@ -254,7 +261,6 @@ def group_ring_paragon_report(gr):
                 ok = False
                 break
             iso[cls] = vals.pop()
-        base_t = gr.base.truss()
         if ok:
             ok = (
                 grid_witness(iso[quotient.mul], base_t.mul[iso[:, None], iso[None, :]]) is None
@@ -468,53 +474,33 @@ def left_translation_truss():
     return Truss(heap_from_group(add), mul, sided="left")
 
 
-def integer_paragon_probe(n, m, bound=1000, samples=200, seed=0):
-    """Bounded-range probe of the integer truss: the translate of n Z through
-    0 -> m is {k n + (m mod n)}, closed under both relative translates, and
-    the residue map realises the quotient as the mod-n ring truss.
+def integer_paragon_probe(n, m):
+    """Residue check of the integer truss: the translate of n Z through
+    0 -> m is n Z + m, closed under both relative translates, and the residue
+    map realises the quotient as the mod-n ring truss.
+
+    Each claim is an integer polynomial identity read mod n, so its truth
+    depends only on the residues of its arguments: x (and y, z) run over
+    every residue mod n and the members p, q over their one residue m mod n,
+    which is exhaustive over Z.  Witnesses are the first failing (x, p, q),
+    (x, y) or (x, y, z).
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rng = random.Random(seed)
     r = m % n
-    report = Report("integer paragon probe (n=%d, m=%d)" % (n, m),
-                    seed=seed, samples=samples)
-
-    def sample_member():
-        return rng.randint(-bound, bound) * n + r
-
-    lam_ok = rho_ok = True
-    lam_wit = rho_wit = None
-    for _ in range(samples):
-        x = rng.randint(-bound, bound)
-        p, q = sample_member(), sample_member()
-        lam = x * p - x * q + q
-        if lam % n != r:
-            lam_ok, lam_wit = False, (x, p, q)
-        rho = p * x - q * x + q
-        if rho % n != r:
-            rho_ok, rho_wit = False, (x, p, q)
-    report.add("lambda_closure", lam_ok, lam_wit)
-    report.add("rho_closure", rho_ok, rho_wit)
-    if m % n == 0:
-        ideal_ok = True
-        for _ in range(samples):
-            x = rng.randint(-bound, bound)
-            p = sample_member()
-            if (x * p) % n or (p * x) % n:
-                ideal_ok = False
-        report.add("ideal_closure", ideal_ok)
+    report = Report("integer paragon probe (n=%d, m=%d)" % (n, m))
+    x, p, q = np.arange(n, dtype=np.int64), r, r  # every residue x; p, q in n Z + m
+    for name, translate in (("lambda_closure", x * p - x * q + q),
+                            ("rho_closure", p * x - q * x + q)):
+        w = grid_witness(translate % n, np.full(n, r))
+        report.add(name, w is None, None if w is None else (w[0], p, q))
+    if r == 0:
+        report.add("ideal_closure", not ((x * p) % n).any() and not ((p * x) % n).any())
 
     t = zn_truss(n)
-    quot_ok = True
-    quot_wit = None
-    for _ in range(samples):
-        x = rng.randint(-bound, bound)
-        y = rng.randint(-bound, bound)
-        z = rng.randint(-bound, bound)
-        if (x * y) % n != int(t.mul[x % n, y % n]):
-            quot_ok, quot_wit = False, (x, y)
-        if (x - y + z) % n != t.bracket(x % n, y % n, z % n):
-            quot_ok, quot_wit = False, (x, y, z)
-    report.add("residue_map_realises_quotient", quot_ok, quot_wit)
+    w = grid_witness((x[:, None] * x[None, :]) % n, t.mul)
+    if w is None:
+        xs, ys, zs = x[:, None, None], x[None, :, None], x[None, None, :]
+        w = grid_witness((xs - ys + zs) % n, t.bracket_arrays(xs, ys, zs))
+    report.add("residue_map_realises_quotient", w is None, w)
     return report

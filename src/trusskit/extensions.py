@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heaps import morphism_witness, product_heap, subheap_relation_classes
+from .heaps import morphism_witness, product_heap, subheap_relation_classes, subheap_witness
 from .lawcheck import (
     ConsistencyError,
     Report,
@@ -210,9 +210,7 @@ def base_subtruss(ext):
     marr = np.array(members)
     mul = ext.truss.mul
     closed_mul = np.isin(mul[np.ix_(marr, marr)], marr).all()
-    vals = ext.truss.bracket_arrays(marr[:, None, None], marr[None, :, None], marr[None, None, :])
-    closed_br = np.isin(vals, marr).all()
-    if not (closed_mul and closed_br):
+    if not closed_mul or subheap_witness(ext.truss, members) is not None:
         raise ConsistencyError("T x {e} is not a sub-truss")
     result = is_paragon(ext.truss, members)
     if result.kind not in ("left", "two-sided", "ideal"):

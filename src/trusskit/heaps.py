@@ -16,6 +16,7 @@ distributivity-type law reduces to that check and runs exhaustively.
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -30,10 +31,25 @@ from .lawcheck import (
 
 
 def _int_table(table, what):
+    """``table`` as a contiguous int64 array.
+
+    A float, bool or string entry is a ValueError, not cast to an integer.
+    Entries are checked when the table is 2-D; the callers reject any other
+    shape.
+    """
     try:
-        return np.ascontiguousarray(table, dtype=np.int64)
+        arr = np.ascontiguousarray(table, dtype=np.int64)
     except (TypeError, OverflowError) as exc:
         raise ValueError("%s table must hold integers: %s" % (what, exc)) from exc
+    if isinstance(table, np.ndarray):
+        kinds = {table.dtype.type}
+    else:
+        kinds = set(map(type, itertools.chain.from_iterable(table))) if arr.ndim == 2 else ()
+    bad = sorted(k.__name__ for k in kinds
+                 if issubclass(k, bool) or not issubclass(k, (int, np.integer)))
+    if bad and arr.size:
+        raise ValueError("%s table must hold integers: found %s" % (what, bad[0]))
+    return arr
 
 
 def _square_table(table, what):
@@ -344,8 +360,27 @@ def morphism_witness(rows, dom, cod):
     return None if w is None else (w[0], w[1], e, int(gens[w[2]]))
 
 
+def subheap_witness(h, members):
+    """First (a, b, c) over ``members``, in their order, with [a, b, c] outside them.
+
+    Returns None when the members form a sub-heap.  A nonempty S is a
+    sub-heap iff [s0, x, y] = s0 - x + y lies in S for all x, y in S: then
+    T = S - s0 holds 0 and u - t for all t, u in T, so -t and u + t, so T is
+    a subgroup and S its coset.  So the |S|^2 slab a = s0 decides, and as
+    s0 comes first, its first failure is the lexicographically first
+    witness over S^3.  ``h`` is a heap or a truss (``order``, ``bracket_arrays``).
+    """
+    s = np.asarray(members, dtype=np.int64)
+    if s.size == 0:
+        return None
+    mask = np.zeros(h.order, dtype=bool)
+    mask[s] = True
+    w = grid_witness(mask[h.bracket_arrays(s[0], s[:, None], s[None, :])], True)
+    return None if w is None else (int(s[0]), int(s[w[0]]), int(s[w[1]]))
+
+
 class SubHeap:
-    """A subset of a heap closed under the bracket.  May be empty."""
+    """A subset of a heap closed under the bracket (``subheap_witness``).  May be empty."""
 
     def __init__(self, parent, members, check=True):
         self.parent = parent
@@ -353,15 +388,9 @@ class SubHeap:
         if members and (members[0] < 0 or members[-1] >= parent.order):
             raise ValueError("sub-heap member out of range")
         self.members = tuple(members)
-        if check and len(self.members) > 1:
-            s = np.array(self.members)
-            vals = parent.bracket_arrays(s[:, None, None], s[None, :, None], s[None, None, :])
-            mask = np.zeros(parent.order, dtype=bool)
-            mask[s] = True
-            w = grid_witness(mask[vals], True)
-            if w is not None:
-                a, b, c = (self.members[i] for i in w)
-                raise ValidationError("subheap.closure", (a, b, c))
+        w = subheap_witness(parent, self.members) if check else None
+        if w is not None:
+            raise ValidationError("subheap.closure", w)
 
     def __len__(self):
         return len(self.members)

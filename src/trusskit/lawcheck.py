@@ -58,8 +58,6 @@ class Report:
     """An ordered list of named pass/fail checks plus free-form notes."""
 
     title: str
-    seed: int | None = None
-    samples: int | None = None
     checks: list[Check] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -94,8 +92,6 @@ class Report:
     def to_dict(self):
         return {
             "title": self.title,
-            "seed": self.seed,
-            "samples": self.samples,
             "ok": self.ok,
             "checks": [c.to_dict() for c in self.checks],
             "notes": list(self.notes),
@@ -103,8 +99,6 @@ class Report:
 
     def lines(self):
         out = ["report: %s" % self.title]
-        if self.seed is not None:
-            out.append("  seed=%d samples=%s" % (self.seed, self.samples))
         for c in self.checks:
             mark = "ok  " if c.passed else "FAIL"
             tail = "" if c.witness is None else "  witness=%s" % (c.witness,)

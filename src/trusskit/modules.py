@@ -24,6 +24,7 @@ from .heaps import (
     product_heap,
     quotient_heap,
     subheap_relation_classes,
+    subheap_witness,
 )
 from .lawcheck import (
     ConsistencyError,
@@ -178,13 +179,12 @@ def is_induced_submodule(mod, s):
     members = tuple(sorted({int(v) for v in s}))
     if not members:
         raise ValueError("the empty set is not an induced submodule candidate")
+    w = subheap_witness(mod.heap, members)
+    if w is not None:
+        return False, ("subheap", w)
     sarr = np.array(members)
     mask = np.zeros(mod.order, dtype=bool)
     mask[sarr] = True
-    vals = mod.heap.bracket_arrays(sarr[:, None, None], sarr[None, :, None], sarr[None, None, :])
-    w = grid_witness(mask[vals], True)
-    if w is not None:
-        return False, ("subheap", tuple(members[i] for i in w))
     act = mod.action
     idx_t = np.arange(mod.truss.order)
     for e in members:

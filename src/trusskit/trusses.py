@@ -21,6 +21,7 @@ from .heaps import (
     morphism_witness,
     quotient_heap,
     retract,
+    subheap_witness,
     _norm_labels,
     _square_table,
 )
@@ -218,9 +219,10 @@ class ParagonReport:
 def is_paragon(t, members):
     """Classify a subset: ideal > two-sided > left/right paragon > none.
 
-    After the sub-heap test, closure is tested at q = members[0] only (n |P|
-    instead of |P|^2 n): lambda_q'(x, p) = [lambda_q(x, p), lambda_q(x, q'), q']
-    holds in any heap, so on a sub-heap one q decides every q (rho alike).
+    The sub-heap test is ``subheap_witness`` (|P|^2 brackets, not |P|^3).
+    After it, closure is tested at q = members[0] only (n |P| instead of
+    |P|^2 n): lambda_q'(x, p) = [lambda_q(x, p), lambda_q(x, q'), q'] holds
+    in any heap, so on a sub-heap one q decides every q (rho alike).
     For left trusses only lambda closure applies: kinds "left" and "none".
     """
     members = tuple(sorted({int(m) for m in members}))
@@ -229,16 +231,13 @@ def is_paragon(t, members):
     n = t.order
     if members[0] < 0 or members[-1] >= n:
         raise ValueError("subset member out of range")
+    w = subheap_witness(t, members)
+    if w is not None:
+        return ParagonReport("none", failures={"subheap": w})
     sarr = np.array(members)
     mask = np.zeros(n, dtype=bool)
     mask[sarr] = True
     failures = {}
-
-    vals = t.bracket_arrays(sarr[:, None, None], sarr[None, :, None], sarr[None, None, :])
-    w = grid_witness(mask[vals], True)
-    if w is not None:
-        failures["subheap"] = tuple(members[i] for i in w)
-        return ParagonReport("none", failures=failures)
 
     idx, q = np.arange(n), members[0]
     lam = t.bracket_arrays(t.mul[idx[:, None], sarr[None, :]], t.mul[idx, q][:, None], q)

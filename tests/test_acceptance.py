@@ -272,9 +272,9 @@ def test_c10_socle_and_normal_paragons():
 def test_c11_integer_probes():
     for n in range(1, 7):
         for m in range(n):
-            rep = integer_paragon_probe(n, m, bound=1000, samples=200, seed=0)
+            rep = integer_paragon_probe(n, m)
             assert rep.ok, rep.render()
-    _passed(11, "integer translate probes pass for all n <= 6, m < n, |x| <= 1000")
+    _passed(11, "integer translate probes pass for all n <= 6, m < n, over every residue")
 
 
 def test_c12_deterministic_reports(tmp_path, capsys):
@@ -290,8 +290,8 @@ def test_c12_deterministic_reports(tmp_path, capsys):
     jsonio.write_file(z4_file, zn_truss(4))
 
     battery = [
-        ["--seed", "0", "scan-units", "--max", "16"],
-        ["--format", "json", "--seed", "0", "scan-units", "--max", "12"],
+        ["scan-units", "--max", "16"],
+        ["--format", "json", "scan-units", "--max", "12"],
         ["validate", str(z4_file)],
         ["quotient", str(z4_file), "1,3"],
         ["catalog", "za", "2", "4"],

@@ -5,6 +5,8 @@ import pytest
 
 from trusskit import (
     AbGroup,
+    ConsistencyError,
+    Truss,
     abelian_invariants,
     cyclic_group,
     dihedral_group,
@@ -13,6 +15,7 @@ from trusskit import (
     group_from_units,
     group_ring,
     group_ring_paragon_report,
+    heap_from_group,
     integer_paragon_probe,
     is_paragon,
     order_congruence_check,
@@ -25,6 +28,7 @@ from trusskit import (
     zn_ring,
     zn_truss,
 )
+from trusskit import catalog
 from trusskit.catalog import multiplicative_order_of_one
 
 
@@ -239,3 +243,54 @@ class TestIntegerProbe:
     def test_all_small_moduli(self, n):
         for m in range(n):
             assert integer_paragon_probe(n, m).ok
+
+
+class TestResidueChecks:
+    """Each residue check is exhaustive: break one residue class and it fails there."""
+
+    def test_congruence_every_residue_up_to_k10(self):
+        assert order_congruence_check(10).ok
+
+    @pytest.mark.parametrize("N, c", [(8, 3), (16, 5), (16, 11), (64, 0)])
+    def test_za_closure_catches_a_broken_class(self, monkeypatch, N, c):
+        good = catalog.za_mul
+
+        def broken(a, m, n):  # not a polynomial: off by one on m = c mod N, n != 0
+            return good(a, m, n) + ((np.asarray(m) % N == c) & (np.asarray(n) != 0))
+
+        monkeypatch.setattr(catalog, "za_mul", broken)
+        with pytest.raises(ConsistencyError, match="at m=%d$" % c):
+            za_truss(2, N)
+
+    def test_power_congruence_catches_a_broken_class(self, monkeypatch):
+        good = catalog.za_power
+        monkeypatch.setattr(catalog, "za_power",
+                            lambda a, m, k: good(a, m, k) + (m % 16 == 9))
+        rep = order_congruence_check(5)
+        assert [c.name for c in rep.failures()] == ["power_congruence_k%d" % k
+                                                    for k in (3, 4, 5)]
+        assert {c.witness for c in rep.failures()} == {(9,)}
+
+    @pytest.mark.parametrize("n, x, y", [(4, 3, 2), (6, 0, 5), (6, 4, 4)])
+    def test_residue_product_catches_a_broken_class(self, monkeypatch, n, x, y):
+        t = zn_truss(n)
+        mul = t.mul.copy()
+        mul[x, y] = (mul[x, y] + 1) % n
+        monkeypatch.setattr(catalog, "zn_truss",
+                            lambda k: Truss(t.heap, mul, labels=t.labels, check=False))
+        for m in range(n):
+            rep = integer_paragon_probe(n, m)
+            assert [(c.name, c.witness) for c in rep.failures()] == [
+                ("residue_map_realises_quotient", (x, y))]
+
+    def test_residue_bracket_catches_a_broken_class(self, monkeypatch):
+        # the bracket of Z_2 x Z_2 under the mod-4 product: a wrong heap
+        t = zn_truss(4)
+        klein = AbGroup.cyclic(2).direct_sum(AbGroup.cyclic(2))
+        wrong = Truss(heap_from_group(klein), t.mul, check=False)
+        monkeypatch.setattr(catalog, "zn_truss", lambda k: wrong)
+        first = next((x, y, z) for x in range(4) for y in range(4) for z in range(4)
+                     if (x - y + z) % 4 != wrong.bracket(x, y, z))
+        rep = integer_paragon_probe(4, 1)
+        assert [(c.name, c.witness) for c in rep.failures()] == [
+            ("residue_map_realises_quotient", first)]

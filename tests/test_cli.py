@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +44,7 @@ class TestValidate:
         assert "result: PASS" in out
 
     def test_corrupted_entry_fails_with_witness(self, z4_file, tmp_path, capsys):
-        doc = json.load(open(z4_file))
+        doc = json.loads(Path(z4_file).read_text())
         doc["mul"][2][3] = 1
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -180,7 +181,7 @@ class TestCatalog:
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_repeat_runs_byte_identical(self, fmt, z4_file, capsys):
-        argv = ["--format", fmt, "--seed", "7", "scan-units", "--max", "12"]
+        argv = ["--format", fmt, "scan-units", "--max", "12"]
         _, first = run_cli(argv, capsys)
         _, second = run_cli(argv, capsys)
         assert first == second
@@ -213,7 +214,7 @@ class TestJsonRoundTrips:
             assert type(back).__name__ == type(obj).__name__
 
     def test_declared_identity_checked(self, tmp_path, z4_file):
-        doc = json.load(open(z4_file))
+        doc = json.loads(Path(z4_file).read_text())
         doc["identity"] = 3
         path = tmp_path / "bad_id.json"
         path.write_text(json.dumps(doc))
@@ -330,6 +331,47 @@ class TestErrorBoundary:
         assert _run_main(["validate", str(path)])[0] == 0
         code, err = _run_main(["identify", str(path)])
         assert code == 2 and err.startswith("input error: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_truncated_and_garbled_text(self, data):
+        text = json.dumps(data.draw(st.sampled_from(FUZZ_DOCS)))
+        cut = data.draw(st.integers(0, len(text) - 1))
+        if data.draw(st.booleans()):
+            text = text[:cut]
+        else:  # a control character is invalid JSON inside and outside strings
+            junk = data.draw(st.sampled_from("\x00\x01\x07\x0b\x0c\x1f"))
+            text = text[:cut] + junk + text[cut + 1:]
+        self._assert_input_error(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_non_integral_table_entries(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCS[:-1])))
+        cells = [(path, key) for path, key in _paths(doc)
+                 if len(path) >= 2 and isinstance(path[-1], int) and isinstance(key, int)]
+        path, key = data.draw(st.sampled_from(cells))
+        row = doc
+        for step in path:
+            row = row[step]
+        row[key] = data.draw(st.booleans() | st.floats(allow_nan=False, allow_infinity=False)
+                             .filter(lambda v: v != int(v)))
+        self._assert_input_error(json.dumps(doc))
+
+    @staticmethod
+    def _assert_input_error(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            doc_file = os.path.join(tmp, "doc.json")
+            Path(doc_file).write_text(text)
+            for command in ("validate", "identify"):
+                code, err = _run_main([command, doc_file])
+                assert code == 2, (command, text, err)
+                assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+    def test_seed_option_is_gone(self):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            main(["--seed", "0", "scan-units"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv, message", [
         (["catalog", "zn"], "catalog zn: expected 1 parameter(s), got 0"),

@@ -7,6 +7,7 @@ the reduced checks must match; every witness must fail its law when the law
 is evaluated directly.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -41,8 +42,10 @@ from trusskit import (
     product_module,
     quaternion_group,
     regular_module,
+    subheap_witness,
     trivial_module,
     trunc_poly_truss,
+    truss_from_brace,
     truss_from_ring,
     truss_law_report,
     validate_ternary_table,
@@ -53,6 +56,7 @@ from trusskit import (
 )
 from trusskit.catalog import left_translation_truss
 from trusskit.heaps import morphism_witness, retract
+from trusskit.lawcheck import Report
 from trusskit.trusses import ParagonReport
 
 ORACLE = settings(max_examples=150, deadline=None)
@@ -419,6 +423,37 @@ class TestReducedAssociativity:
         assert set(g.closure(gens)) == set(range(g.order))
 
 
+# ------------------------------------------- sub-heaps: |S|^2 vs the |S|^3 scan
+
+def _subheap_oracle(h, members):
+    """The former test: the first (a, b, c) over members with [a, b, c] outside."""
+    inside = set(members)
+    return next(((a, b, c) for a, b, c in itertools.product(members, repeat=3)
+                 if h.bracket(a, b, c) not in inside), None)
+
+
+@functools.lru_cache(maxsize=None)
+def _subheap_carriers():
+    base = za_truss(2, 4)
+    brace16 = truss_from_brace(brace_from_truss(extend(base, regular_module(base), 0).truss))
+    return [zn_truss(n) for n in range(1, 17)] + [za_truss(2, 8), brace16]
+
+
+@ORACLE
+@given(st.data())
+def test_subheap_witness_matches_cubic_scan(data):
+    t = data.draw(st.sampled_from(_subheap_carriers()))
+    members = data.draw(st.sets(st.integers(0, t.order - 1), min_size=1))
+    if data.draw(st.booleans()):  # the sub-heap a few of them generate, so passes occur
+        members, grown = set(sorted(members)[:3]), None
+        while grown != members:
+            grown = members
+            members = grown | {t.bracket(*abc) for abc in itertools.product(grown, repeat=3)}
+    members = sorted(members)
+    for h in (t, t.heap):
+        assert subheap_witness(h, members) == _subheap_oracle(h, members)
+
+
 # ------------------------------------------------ paragons: one q vs every q
 
 def _paragon_oracle(t, members):
@@ -591,5 +626,5 @@ def test_catalog_law_reports_are_exhaustive(name, build):
     t = build()
     assert t.order <= 256
     for report in (truss_law_report(t), module_law_report(regular_module(t))):
-        assert report.samples is None and report.seed is None
+        assert [f.name for f in dataclasses.fields(Report)] == ["title", "checks", "notes"]
         assert report.ok, report.render()
