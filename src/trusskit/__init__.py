@@ -13,11 +13,13 @@ from .heaps import (
     AbGroup,
     Heap,
     SubHeap,
+    closed_subheaps,
     heap_from_group,
     heap_law_report,
     product_heap,
     quotient_heap,
     retract,
+    subheap_closure,
     subheap_relation_classes,
     subheap_witness,
     translate,
@@ -51,6 +53,7 @@ from .trusses import (
     lambda_q,
     odd_multiple_check,
     opposite_truss,
+    paragons,
     quotient_truss,
     rho_q,
     truss_from_ring,

@@ -283,20 +283,30 @@ def abelian_invariants(g):
 
 
 def abelian_coordinates(g):
-    """(basis, coords) where coords[x] is x's tuple in the basis direct sum."""
+    """(basis, coords) where row coords[x] is x's tuple in the basis direct sum."""
     basis = abelian_basis(g)
-    coords = {}
-    ranges = [range(d) for _, d in basis]
-    for tup in itertools.product(*ranges):
-        x = g.id
-        for (gen, _), k in zip(basis, tup):
-            x = int(g.mul[x, g.power(gen, k)])
-        if x in coords:
-            raise ConsistencyError("abelian basis is not independent")
-        coords[x] = tup
-    if len(coords) != g.order:
-        raise ConsistencyError("abelian basis does not span")
+    tups = np.array(list(itertools.product(*[range(d) for _, d in basis])), dtype=np.int64)
+    tups = tups.reshape(len(tups), len(basis))
+    elems = map_from_basis_images(g, basis, tups, [b for b, _ in basis])
+    if len(elems) != g.order or np.unique(elems).size != g.order:
+        raise ConsistencyError("abelian basis is not independent or does not span")
+    coords = np.empty_like(tups)
+    coords[elems] = tups
     return basis, coords
+
+
+def map_from_basis_images(h, basis, coords, images):
+    """The map sum_i k_i b_i -> sum_i k_i images[i] into the group ``h``, as an
+    index array; ``coords`` holds the k_i of each point in rows.  A
+    homomorphism when each image's order divides its basis element's."""
+    phi = np.full(len(coords), h.id, dtype=np.int64)
+    for (_, d), img, k in zip(basis, images, coords.T):
+        powers = np.empty(d, dtype=np.int64)
+        powers[0] = h.id
+        for j in range(1, d):
+            powers[j] = h.mul[powers[j - 1], img]
+        phi = h.mul[phi, powers[k]]
+    return phi
 
 
 def _word_table(g, gens):

@@ -34,8 +34,8 @@ def _int_table(table, what):
     """``table`` as a contiguous int64 array.
 
     A float, bool or string entry is a ValueError, not cast to an integer.
-    Entries are checked when the table is 2-D; the callers reject any other
-    shape.
+    Entries are checked when the table is 2-D or 3-D; the callers reject any
+    other shape.
     """
     try:
         arr = np.ascontiguousarray(table, dtype=np.int64)
@@ -43,8 +43,13 @@ def _int_table(table, what):
         raise ValueError("%s table must hold integers: %s" % (what, exc)) from exc
     if isinstance(table, np.ndarray):
         kinds = {table.dtype.type}
+    elif arr.ndim in (2, 3):
+        entries = itertools.chain.from_iterable(table)
+        if arr.ndim == 3:
+            entries = itertools.chain.from_iterable(entries)
+        kinds = set(map(type, entries))
     else:
-        kinds = set(map(type, itertools.chain.from_iterable(table))) if arr.ndim == 2 else ()
+        kinds = ()
     bad = sorted(k.__name__ for k in kinds
                  if issubclass(k, bool) or not issubclass(k, (int, np.integer)))
     if bad and arr.size:
@@ -312,7 +317,7 @@ def validate_ternary_table(table):
     (n^2, the group laws, n^3), so every table is checked exhaustively; on
     success the rebuilt heap is returned.
     """
-    t = np.ascontiguousarray(table, dtype=np.int64)
+    t = _int_table(table, "ternary")
     if t.ndim != 3 or len(set(t.shape)) != 1:
         raise ValidationError("ternary.shape", None, "expected an n*n*n table")
     n = t.shape[0]
@@ -402,12 +407,6 @@ class SubHeap:
         return "SubHeap(%s)" % (self.members,)
 
 
-def _member_tuple(h, s):
-    if isinstance(s, SubHeap):
-        return s.members
-    return SubHeap(h, s).members
-
-
 def subheap_relation_classes(h, s):
     """Partition of the carrier by x ~ y  iff  [x, y, p] lands in s for some p in s.
 
@@ -417,20 +416,74 @@ def subheap_relation_classes(h, s):
     |s|; a violation raises ``ConsistencyError`` since it cannot happen for a
     genuine sub-heap.
     """
-    members = _member_tuple(h, s)
+    members = s.members if isinstance(s, SubHeap) else SubHeap(h, s).members
     if not members:
         raise ValueError("quotient by empty sub-heap undefined")
     sarr = np.array(members)
     rows = np.sort(h.bracket_arrays(np.arange(h.order)[:, None], sarr[0], sarr[None, :]), axis=1)
     if (rows[:, 1:] == rows[:, :-1]).any():
         raise ConsistencyError("sub-heap relation classes are not equal-size cosets")
-    classes = np.unique(rows, axis=0)
-    if not np.array_equal(np.sort(classes, axis=None), np.arange(h.order)):
+    mins, first = np.unique(rows[:, 0], return_index=True)
+    classes = rows[first]  # one row per smallest member; every row must equal its class
+    if not (np.array_equal(np.sort(classes, axis=None), np.arange(h.order))
+            and np.array_equal(rows, classes[np.searchsorted(mins, rows[:, 0])])):
         raise ConsistencyError("sub-heap relation classes overlap")
     classes = [tuple(int(v) for v in c) for c in classes]
     if members not in classes:
         raise ConsistencyError("sub-heap relation classes are not equal-size cosets")
     return classes
+
+
+def _closer(h, e, maps):
+    """close(inside, seeds): the closure (``subheap_closure``) of a closed
+    mask ``inside`` and ``seeds``.  A round adds the sums and images of the
+    new members only, as older pairs were summed in an earlier round."""
+    add = retract(h, e).add
+    rows = h.bracket_arrays(maps, maps[:, e][:, None], e)
+    induced = np.array(list({r.tobytes(): r for r in rows}.values())).reshape(-1, h.order)
+
+    def close(inside, seeds):
+        inside, reached = inside.copy(), np.zeros(h.order, dtype=bool)
+        reached[np.asarray(seeds, dtype=np.int64)] = True
+        while (new := np.flatnonzero(reached & ~inside)).size:
+            inside[new] = True
+            if inside.all():
+                break
+            reached[add[np.ix_(new, np.flatnonzero(inside))]] = True
+            reached[induced[:, new]] = True
+        return inside
+
+    return close
+
+
+def subheap_closure(h, e, maps, seeds=()):
+    """The smallest sub-heap S containing e and ``seeds`` that is closed under
+    x -> [f(x), f(e), e] for every row f of the k x n table ``maps``.
+
+    S is a sub-heap iff [s, e, s'] = s - e + s' lies in S for all s, s' in S
+    (``subheap_witness``), so each round adds those sums and the images until
+    a fixed point.  With a module's action as ``maps``, S is the class
+    through e of the least congruence joining e to the seeds.
+    """
+    return tuple(np.flatnonzero(_closer(h, e, maps)(np.arange(h.order) == e, seeds)).tolist())
+
+
+def closed_subheaps(h, e, maps):
+    """Every closed sub-heap through e (``subheap_closure``), sorted by size,
+    then members: the principal closures of {e, a}, then their joins until
+    no new set appears (R. Freese, "Computing congruences efficiently",
+    Algebra Universalis 59 (2008)).  A heap has a Mal'cev term, so a
+    congruence is fixed by its class through e: one set per congruence.
+    """
+    close, bottom = _closer(h, e, maps), np.arange(h.order) == e
+    found = {p.tobytes(): p for p in (close(bottom, [a]) for a in range(h.order))}
+    principal = frontier = list(found.values())
+    while frontier:
+        joins = (close(x, np.flatnonzero(p & ~x)) for x in frontier for p in principal
+                 if (p & ~x).any())
+        frontier = [found.setdefault(j.tobytes(), j) for j in joins if j.tobytes() not in found]
+    sets = (tuple(np.flatnonzero(m).tolist()) for m in found.values())
+    return sorted(sets, key=lambda s: (len(s), s))
 
 
 def quotient_heap(h, s):

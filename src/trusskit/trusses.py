@@ -1,8 +1,9 @@
 """Trusses: abelian heaps with an associative, bracket-distributive product.
 
 Covers two-sided and left trusses, paragons (the congruence classes of a
-truss), ideals, normal paragons, quotients, unit sets, and the reports that
-decide when the units of a ring-truss form a congruence class.
+truss, listed through the basepoint by ``paragons``), ideals, normal
+paragons, quotients, unit sets, and the reports that decide when the units
+of a ring-truss form a congruence class.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import abelian_basis, abelian_coordinates, FiniteGroup
+from .groups import FiniteGroup, abelian_coordinates, map_from_basis_images
 from .heaps import (
     AbGroup,
     SubHeap,
+    closed_subheaps,
     heap_from_group,
     heap_generators,
     morphism_witness,
@@ -272,6 +274,18 @@ def is_paragon(t, members):
     return ParagonReport("none", failures=failures)
 
 
+def paragons(t):
+    """The paragons through the heap basepoint e, sorted by size, then members.
+
+    Closure at q = e decides (see ``is_paragon``), so these are the
+    ``closed_subheaps`` under x -> [tx, te, e] and [xt, et, e] for every t
+    (left paragons under the first only, for a left truss).  There is one
+    per congruence; for the truss of a ring with zero e, the ideals.
+    """
+    maps = t.mul if t.sided == LEFT else np.vstack((t.mul, t.mul.T))
+    return closed_subheaps(t.heap, t.heap.basepoint, maps)
+
+
 def is_normal_paragon(t, p):
     """True iff the left and right relative translates of P coincide:
 
@@ -330,9 +344,7 @@ def quotient_truss(t, p):
         raise ValueError("quotient of a left truss is out of scope; need two-sided")
     p = _as_paragon(t, p)
     qheap, proj = quotient_heap(t.heap, SubHeap(t.heap, p.members, check=False))
-    k = qheap.order
-    classes = [tuple(int(v) for v in np.flatnonzero(proj == i)) for i in range(k)]
-    reps = np.array([c[0] for c in classes])
+    reps = np.unique(proj, return_index=True)[1]  # first member of each class
     composed = proj[t.mul]
     qmul = composed[np.ix_(reps, reps)]
     if grid_witness(composed, qmul[proj[:, None], proj[None, :]]) is not None:
@@ -522,10 +534,7 @@ def truss_isomorphism(t1, t2, node_budget=200_000):
     else:
         anchor1, anchor2_candidates = t1.heap.basepoint, list(range(n))
 
-    g1 = FiniteGroup.from_abgroup(retract(t1.heap, anchor1))
-    basis = abelian_basis(g1)
-    _, coords = abelian_coordinates(g1)
-    coord_mat = np.array([coords[x] for x in range(n)], dtype=np.int64).reshape(n, len(basis))
+    basis, coords = abelian_coordinates(FiniteGroup.from_abgroup(retract(t1.heap, anchor1)))
 
     nodes = 0
     for e2 in anchor2_candidates:
@@ -536,13 +545,7 @@ def truss_isomorphism(t1, t2, node_budget=200_000):
             nodes += 1
             if nodes > node_budget:
                 raise RuntimeError("truss isomorphism search exceeded %d nodes" % node_budget)
-            phi = np.full(n, g2.id, dtype=np.int64)
-            for i, img in enumerate(images):
-                powers = np.empty(basis[i][1], dtype=np.int64)
-                powers[0] = g2.id
-                for k in range(1, basis[i][1]):
-                    powers[k] = g2.mul[powers[k - 1], img]
-                phi = g2.mul[phi, powers[coord_mat[:, i]]]
+            phi = map_from_basis_images(g2, basis, coords, images)
             if len(set(int(v) for v in phi)) != n:
                 continue
             if (phi[t1.mul] == t2.mul[phi[:, None], phi[None, :]]).all():

@@ -17,6 +17,7 @@ from trusskit import (
     brace_from_truss,
     brace_ideals,
     congruence_correspondence_report,
+    congruences,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -139,7 +140,7 @@ def test_c05_cyclic_brace_family():
         for m in range(-20, 21):
             x = 0
             for k in range(13):
-                assert za_power(a, m, k) == x  # internal cross-check vs iteration
+                assert za_power(a, m, k) == x  # closed form vs the iterated product
                 x = za_mul(a, x, m)
     _passed(5, "mod 2^(k+1) quotients are braces with units C2 x C2^k, order of 1 = 2^k; "
             "power closed form verified on the full grid")
@@ -208,6 +209,9 @@ def test_c08_congruence_class_correspondence():
     z4 = zn_truss(4)
     z2c2 = group_ring(zn_ring(2), cyclic_group(2)).ring.truss()
     klein = AbGroup([[a ^ b for b in range(4)] for a in range(4)])
+    za24 = za_truss(2, 4)
+    brace16 = extend(za24, regular_module(za24), 0).truss
+    c2_4 = klein.direct_sum(klein)
     modules = [
         regular_module(z2),
         regular_module(z4),
@@ -217,10 +221,16 @@ def test_c08_congruence_class_correspondence():
         trivial_module(z2, heap_from_group(AbGroup.cyclic(8))),
     ]
     for mod in modules:
-        assert mod.order <= 8
         assert congruence_correspondence_report(mod).ok
-    _passed(8, "congruence classes equal induced submodules on %d modules of order <= 8"
-            % len(modules))
+    # order 16: the congruences of the trivial module on C_2^4 are the
+    # cosets of its 67 subgroups
+    order16 = [(regular_module(zn_truss(16)), 5), (regular_module(brace16), 15),
+               (trivial_module(z2, heap_from_group(c2_4)), 67)]
+    for mod, count in order16:
+        assert len(congruences(mod)) == count
+        assert congruence_correspondence_report(mod).ok
+    _passed(8, "congruence classes equal induced submodules on %d modules of order <= 16"
+            % (len(modules) + len(order16)))
 
 
 def test_c09_group_ring_fibers():

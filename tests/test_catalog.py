@@ -11,6 +11,7 @@ from trusskit import (
     cyclic_group,
     dihedral_group,
     end_truss,
+    group_from_spec,
     endomorphism_maps,
     group_from_units,
     group_ring,
@@ -19,6 +20,8 @@ from trusskit import (
     integer_paragon_probe,
     is_paragon,
     order_congruence_check,
+    paragons,
+    quotient_truss,
     trunc_poly_truss,
     truss_isomorphism,
     units,
@@ -107,6 +110,18 @@ class TestGroupRing:
     def test_quotient_matches_coefficients(self):
         gr = group_ring(zn_ring(3), cyclic_group(2))
         assert group_ring_paragon_report(gr).ok
+
+    @pytest.mark.parametrize("sigma", [
+        (0, 1, 3, 2, 4),  # x -> x^3 on Z_5: multiplicative, not additive
+        (0, 4, 3, 2, 1),  # x -> -x: additive, not multiplicative
+    ])
+    def test_quotient_check_catches_a_relabelled_augmentation(self, sigma):
+        gr = group_ring(zn_ring(5), cyclic_group(2))
+        gr.augmentation = np.array(sigma)[gr.augmentation]
+        rep = group_ring_paragon_report(gr)
+        failed = {c.name for c in rep.failures()}
+        assert not any(name.endswith("_is_paragon") for name in failed)
+        assert {"fiber_%d_quotient_is_coefficient_truss" % r for r in range(5)} <= failed
 
     def test_trivial_group_reproduces_ring(self):
         gr = group_ring(zn_ring(5), cyclic_group(1))
@@ -294,3 +309,94 @@ class TestResidueChecks:
         rep = integer_paragon_probe(4, 1)
         assert [(c.name, c.witness) for c in rep.failures()] == [
             ("residue_map_realises_quotient", first)]
+
+
+def _ring_ideals(ring):
+    """The two-sided ideals of (R, +, .), by a closure on the ring tables.
+
+    The ideal generated by a is the additive span of a, Ra, aR and RaR; every
+    ideal is a sum of those.  Sorted by size, then members.
+    """
+    add, mul, zero = ring.add.add, ring.mul, ring.add.zero
+
+    def span(points):
+        inside = np.zeros(ring.order, dtype=bool)
+        inside[zero] = True
+        inside[points] = True
+        while not inside.all():
+            members = np.flatnonzero(inside)
+            grown = inside.copy()
+            grown[add[np.ix_(members, members)]] = True
+            if (grown == inside).all():
+                break
+            inside = grown
+        return frozenset(np.flatnonzero(inside).tolist())
+
+    principal = {span(np.concatenate(([a], mul[:, a], mul[a], mul[mul[:, a]].ravel())))
+                 for a in range(ring.order)}
+    ideals, frontier = set(principal), set(principal)
+    while frontier:
+        frontier = {span(sorted(i | p)) for i in frontier for p in principal} - ideals
+        ideals |= frontier
+    return sorted((tuple(sorted(i)) for i in ideals), key=lambda s: (len(s), s))
+
+
+def _ring_members():
+    """The ring-type members the catalog benchmark builds, by name."""
+    out = [("zn%d" % n, zn_ring(n)) for n in range(2, 65)]
+    out += [("trunc%d,%d" % (k, n), trunc_poly_truss(k, n).ring)
+            for k in range(1, 9) for n in range(1, 9) if 2 ** (k * n) <= 256]
+    out += [("gr%d,%s" % (q, spec), group_ring(zn_ring(q), group_from_spec(spec)).ring)
+            for q, spec in ((2, "cyclic:2"), (3, "cyclic:2"), (2, "cyclic:4"),
+                            (2, "cyclic:2*cyclic:2"), (2, "dihedral:6"), (2, "dihedral:8"))]
+    return out
+
+
+def _other_members():
+    """The catalog's za and end members, which are not ring-type; the za
+    multiplier a runs through 1..4 over the orders."""
+    out = [("za%d,%d" % (i % 4 + 1, order), za_truss(i % 4 + 1, order))
+           for i, order in enumerate((8, 16, 32, 64, 128, 256))]
+    for orders in ((2,), (3,), (4,), (2, 2), (2, 4)):
+        g = AbGroup.cyclic(orders[0])
+        for n in orders[1:]:
+            g = g.direct_sum(AbGroup.cyclic(n))
+        out.append(("end%s" % (orders,), end_truss(g).truss))
+    return out
+
+
+class TestParagonsAreCongruenceClasses:
+    """The paper's first result over the catalog: the congruence classes of
+    a ring R are the paragons of T(R)."""
+
+    @pytest.fixture(scope="class")
+    def ring_members(self):
+        return [(name, ring, ring.truss(), paragons(ring.truss()))
+                for name, ring in _ring_members()]
+
+    def test_paragons_through_zero_are_the_ideals(self, ring_members):
+        for name, ring, t, found in ring_members:
+            assert t.heap.basepoint == ring.add.zero, name
+            assert found == _ring_ideals(ring), name
+
+    def test_every_ideal_coset_is_a_paragon(self, ring_members):
+        for name, ring, t, found in ring_members:
+            for ideal in found:
+                arr = np.array(ideal)
+                for x in np.unique(np.sort(ring.add.add[:, arr], axis=1), axis=0):
+                    assert is_paragon(t, x).is_paragon, (name, ideal, tuple(x))
+
+    def test_quotient_by_every_paragon(self, ring_members):
+        members = [(name, t, found) for name, _, t, found in ring_members]
+        members += [(name, t, paragons(t)) for name, t in _other_members()]
+        for name, t, found in members:
+            for p in found:
+                q, proj = quotient_truss(t, p)
+                assert q.order * len(p) == t.order, (name, p)
+
+    def test_order_256_counts(self, ring_members):
+        counts = {name: len(found) for name, _, _, found in ring_members}
+        assert counts["trunc8,1"] == 9  # Z_256
+        assert counts["trunc2,4"] == 23
+        assert counts["gr2,dihedral:8"] == 15
+        assert len(paragons(za_truss(2, 256))) == 9

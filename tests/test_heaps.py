@@ -14,6 +14,7 @@ from trusskit import (
     product_heap,
     quotient_heap,
     retract,
+    subheap_closure,
     subheap_relation_classes,
     translate,
     validate_ternary_table,
@@ -126,6 +127,14 @@ class TestTernaryTable:
         t = [[[a ^ b ^ c for c in range(4)] for b in range(4)] for a in range(4)]
         h = validate_ternary_table(t)
         assert h.retract == klein_four()
+
+    @pytest.mark.parametrize("entry", [1.9, True])
+    def test_non_integral_entry_rejected(self, entry):
+        t = self.build_table(z(3))
+        assert t[0][0][1] == 1
+        t[0][0][1] = entry  # would be read as the true entry 1 if cast
+        with pytest.raises(ValueError, match="table must hold integers"):
+            validate_ternary_table(t)
 
     def test_malcev_violation_witnessed(self):
         t = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
@@ -242,3 +251,17 @@ class TestSubHeapAndQuotient:
         # bracket acts coordinatewise: [(1,2),(0,1),(1,0)] = (0, 1) -> index 1
         a, b, c = 1 * 3 + 2, 0 * 3 + 1, 1 * 3 + 0
         assert h.bracket(a, b, c) == 0 * 3 + 1
+
+
+class TestSubheapClosure:
+    def test_identity_map_gives_the_generated_coset(self):
+        h = heap_from_group(z(12))
+        # [x, 3, 3] = x: only sums 7 - 3 + 7 ... are added, the coset 3 + <4>
+        assert subheap_closure(h, 3, np.arange(12)[None, :], [7]) == (3, 7, 11)
+        assert subheap_closure(h, 3, np.arange(12)[None, :]) == (3,)
+
+    def test_induced_maps_are_applied(self):
+        h = heap_from_group(z(12))
+        double = (2 * np.arange(12)) % 12  # [2x, 2e, e] = 2x - e at e = 1
+        assert subheap_closure(h, 1, double[None, :], [2]) == tuple(range(12))
+        assert subheap_closure(h, 0, double[None, :], [3]) == (0, 3, 6, 9)

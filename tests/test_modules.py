@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trusskit import (
     AbGroup,
@@ -28,9 +29,67 @@ from trusskit import (
     zn_ring,
     zn_truss,
 )
-from trusskit.catalog import left_translation_truss
+from trusskit.catalog import end_truss, left_translation_truss, trunc_poly_truss, za_truss
 from trusskit.extensions import extend
+from trusskit.heaps import subheap_witness
+from trusskit.modules import _is_action_congruence, _is_heap_congruence
 from trusskit.trusses import opposite_truss
+
+
+def _partitions(m):
+    """All set partitions of range(m) in restricted-growth-string order."""
+    rgs = [0] * m
+
+    def rec(i, maxseen):
+        if i == m:
+            blocks = [[] for _ in range(maxseen + 1)]
+            for pos, b in enumerate(rgs):
+                blocks[b].append(pos)
+            yield [tuple(b) for b in blocks]
+            return
+        for b in range(maxseen + 2):
+            rgs[i] = b
+            yield from rec(i + 1, max(maxseen, b))
+
+    if m == 0:
+        return
+    yield from rec(1, 0)
+
+
+def oracle_congruences(mod):
+    """Every set partition that passes the direct congruence checks."""
+    found = []
+    for blocks in _partitions(mod.order):
+        cls_of = np.empty(mod.order, dtype=np.int64)
+        for i, block in enumerate(blocks):
+            cls_of[list(block)] = i
+        rep_of = np.array([b[0] for b in blocks])
+        if (_is_action_congruence(mod, cls_of, rep_of)
+                and _is_heap_congruence(mod.heap, cls_of, rep_of)):
+            found.append(tuple(sorted(blocks, key=min)))
+    return found
+
+
+def oracle_is_induced(mod, s):
+    """is_induced_submodule by a loop over every anchor e, truss element t
+    and member x, in that order."""
+    members = tuple(sorted(set(s)))
+    w = subheap_witness(mod.heap, members)
+    if w is not None:
+        return False, ("subheap", w)
+    for e in members:
+        for t in range(mod.truss.order):
+            for x in members:
+                if mod.heap.bracket(mod.act(t, x), mod.act(t, e), e) not in members:
+                    return False, ("induced", (t, e, x))
+    return True, None
+
+
+def oracle_induced_submodules(mod):
+    """Every nonempty subset that passes ``oracle_is_induced``, in bitmask order."""
+    m = mod.order
+    subsets = (tuple(i for i in range(m) if bits >> i & 1) for bits in range(1, 1 << m))
+    return [s for s in subsets if oracle_is_induced(mod, s)[0]]
 
 
 def z4_regular():
@@ -146,9 +205,12 @@ class TestCongruences:
         # all heap congruences: cosets of the 5 subgroups of Z2 x Z2
         assert len(found) == 5
 
-    def test_bound_enforced(self):
-        with pytest.raises(ValueError, match="is_induced_submodule"):
-            congruences(regular_module(zn_truss(9)))
+    def test_no_order_bound(self):
+        assert congruences(regular_module(zn_truss(9))) == [
+            (tuple(range(9)),),
+            ((0, 3, 6), (1, 4, 7), (2, 5, 8)),
+            tuple((x,) for x in range(9)),
+        ]
 
     def test_correspondence_z4(self):
         rep = congruence_correspondence_report(z4_regular())
@@ -166,8 +228,6 @@ class TestCongruences:
             mod = regular_module(truss)
             add = truss.heap.retract.add
             heap_based = congruences(mod)
-            from trusskit.modules import _partitions
-
             add_based = []
             for blocks in _partitions(mod.order):
                 cls = np.empty(mod.order, dtype=np.int64)
@@ -257,3 +317,74 @@ class TestProductAndOpposite:
         opp = opposite_truss(base)
         mod = regular_module(opp, check=True)
         assert module_law_report(mod).ok
+
+
+# Catalog trusses of order <= 8, the left truss included.
+SMALL_TRUSSES = [zn_truss(n) for n in range(1, 9)] + [
+    za_truss(2, 4), za_truss(2, 8), za_truss(3, 6), trunc_poly_truss(1, 3).truss,
+    z2c2_truss(), end_truss(AbGroup.cyclic(2)).truss, left_translation_truss(),
+    extend(zn_truss(2), regular_module(zn_truss(2)), 0).truss,
+]
+CARRIERS = [heap_from_group(AbGroup.cyclic(n)) for n in range(1, 9)] + [
+    heap_from_group(AbGroup.cyclic(2).direct_sum(AbGroup.cyclic(2))),
+    heap_from_group(AbGroup.cyclic(2).direct_sum(AbGroup.cyclic(2)).direct_sum(AbGroup.cyclic(2))),
+]
+
+
+@st.composite
+def small_modules(draw):
+    """Regular, trivial, zero, induced and product modules of order <= 8."""
+    t = draw(st.sampled_from(SMALL_TRUSSES))
+    kind = draw(st.sampled_from(["regular", "trivial", "zero", "induced", "product"]))
+    if kind == "regular":
+        return regular_module(t, check=True)
+    if kind == "product":
+        k = draw(st.sampled_from([h for h in CARRIERS if h.order * t.order <= 8]))
+        return product_module(regular_module(t), trivial_module(t, k))
+    heap = draw(st.sampled_from(CARRIERS))
+    if kind == "trivial":
+        return trivial_module(t, heap)
+    if kind == "zero":
+        return zero_module(t, heap, draw(st.integers(0, heap.order - 1)))
+    return induced_module(regular_module(t), draw(st.integers(0, t.order - 1)))
+
+
+class TestEngineMatchesEnumeration:
+    """The closure engine against the partition and subset oracles."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_modules())
+    def test_same_lists_in_same_order(self, mod):
+        assert congruences(mod) == oracle_congruences(mod)
+        assert all_induced_submodules(mod) == oracle_induced_submodules(mod)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_modules(), st.data())
+    def test_induced_test_at_one_anchor_matches_every_anchor(self, mod, data):
+        """Also on corrupted actions: the one-anchor identity is a heap identity."""
+        if data.draw(st.booleans()):
+            action = mod.action.copy()
+            t = data.draw(st.integers(0, mod.truss.order - 1))
+            action[t] = data.draw(st.permutations(range(mod.order)))
+            mod = TModule(mod.truss, mod.heap, action, check=False)
+        for _ in range(20):
+            s = data.draw(st.sets(st.integers(0, mod.order - 1), min_size=1))
+            assert is_induced_submodule(mod, s) == oracle_is_induced(mod, s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_modules(), st.data())
+    def test_corrupted_action_matches_enumeration(self, mod, data):
+        """Without the module laws the engine still lists exactly the
+        congruences: each closed set is re-verified directly, and the class
+        through the basepoint of any congruence is closed by the heap laws
+        alone.  Its induced submodules, the classes of those congruences,
+        are then a subset of the oracle's: a set closed at its own points
+        need not have closed translates."""
+        t = data.draw(st.integers(0, mod.truss.order - 1))
+        x = data.draw(st.integers(0, mod.order - 1))
+        shift = data.draw(st.integers(1, max(1, mod.order - 1)))
+        action = mod.action.copy()
+        action[t, x] = (action[t, x] + shift) % mod.order
+        bad = TModule(mod.truss, mod.heap, action, check=False)
+        assert congruences(bad) == oracle_congruences(bad)
+        assert set(all_induced_submodules(bad)) <= set(oracle_induced_submodules(bad))

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from trusskit import (
     lambda_q,
     odd_multiple_check,
     opposite_truss,
+    paragons,
     quotient_truss,
     regular_module,
     rho_q,
@@ -33,7 +35,13 @@ from trusskit import (
     zn_ring,
     zn_truss,
 )
-from trusskit.catalog import left_translation_truss
+from trusskit.catalog import (
+    end_truss,
+    group_ring,
+    left_translation_truss,
+    trunc_poly_truss,
+)
+from trusskit.groups import cyclic_group
 
 
 class TestConstruction:
@@ -179,6 +187,34 @@ def _normality_truss(name):
 
 
 NORMALITY_TRUSSES = ["brace8", "brace16"] + ["z%d" % n for n in range(1, 13)]
+
+
+# Catalog trusses of order <= 12, with a left truss and a noncommutative one.
+ENUMERABLE = [zn_truss(n) for n in range(1, 13)] + [
+    za_truss(2, 8), za_truss(3, 9), za_truss(1, 12), trunc_poly_truss(1, 3).truss,
+    group_ring(zn_ring(2), cyclic_group(2)).ring.truss(),
+    group_ring(zn_ring(3), cyclic_group(2)).ring.truss(),
+    end_truss(AbGroup.cyclic(2)).truss, end_truss(AbGroup.cyclic(3)).truss,
+    left_translation_truss(), extend(zn_truss(2), regular_module(zn_truss(2)), 0).truss,
+]
+
+
+class TestParagonLattice:
+    @pytest.mark.parametrize("t", ENUMERABLE, ids=lambda t: "order%d" % t.order)
+    def test_matches_subset_enumeration(self, t):
+        e, rest = t.heap.basepoint, [x for x in range(t.order) if x != t.heap.basepoint]
+        wanted = "left" if t.sided == "left" else ("two-sided", "ideal")
+        expected = []
+        for r in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, r):
+                members = tuple(sorted((e,) + extra))
+                if is_paragon(t, members).kind in wanted:
+                    expected.append(members)
+        assert paragons(t) == sorted(expected, key=lambda s: (len(s), s))
+
+    def test_z12_ideals(self):
+        assert paragons(zn_truss(12)) == [
+            (0,), (0, 6), (0, 4, 8), (0, 3, 6, 9), (0, 2, 4, 6, 8, 10), tuple(range(12))]
 
 
 class TestNormalParagon:
