@@ -20,7 +20,7 @@ import numpy as np
 
 from .extensions import extend
 from .groups import FiniteGroup, abelian_coordinates, map_from_basis_images
-from .heaps import AbGroup, heap_from_group, morphism_witness
+from .heaps import AbGroup, heap_from_group, induced_table, morphism_witness
 from .lawcheck import ConsistencyError, Report, grid_witness
 from .modules import TModule
 from .trusses import Truss, is_paragon, quotient_truss, truss_from_ring, units
@@ -249,9 +249,8 @@ def group_ring_paragon_report(gr):
             closed == (int(rmul[r, r]) == r),
         )
         quotient, proj = quotient_truss(t, result.paragon)
-        iso = np.zeros(quotient.order, dtype=np.int64)
-        iso[proj] = gr.augmentation  # well defined iff each class has one value
-        ok = (np.array_equal(iso[proj], gr.augmentation)
+        iso, w = induced_table(proj, gr.augmentation)
+        ok = (w is None
               and grid_witness(iso[quotient.mul], base_t.mul[iso[:, None], iso[None, :]]) is None
               and morphism_witness(iso, quotient.heap, base_t.heap) is None)
         report.add("fiber_%d_quotient_is_coefficient_truss" % r, ok)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heaps import morphism_witness, product_heap, subheap_relation_classes, subheap_witness
+from .heaps import induced_table, morphism_witness, product_heap, subheap_relation_classes
 from .lawcheck import (
     ConsistencyError,
     Report,
@@ -166,8 +166,8 @@ def fiber_paragon(ext, a):
     """The fiber {a} x M as a verified paragon, with quotient isomorphic to the base.
 
     Returns (paragon, quotient, projection, iso) where iso maps each class
-    index to the base element shared by all its members.  The fiber is an
-    ideal exactly when a is an absorber of the base.
+    to the base element all its members share (``induced_table``).  The
+    fiber is an ideal exactly when a is an absorber of the base.
     """
     n, m = ext.base.order, ext.m
     members = [ext.pair(a, x) for x in range(m)]
@@ -184,12 +184,9 @@ def fiber_paragon(ext, a):
         quotient, proj = quotient_truss(ext.truss, result.paragon)
         if quotient.order != n:
             raise ConsistencyError("fiber quotient has the wrong order")
-        iso = np.empty(n, dtype=np.int64)
-        for cls in range(n):
-            firsts = {ext.unpair(i)[0] for i in np.flatnonzero(proj == cls)}
-            if len(firsts) != 1:
-                raise ConsistencyError("fiber class mixes base elements")
-            iso[cls] = firsts.pop()
+        iso, w = induced_table(proj, np.arange(n * m) // m)
+        if w is not None:
+            raise ConsistencyError("fiber class mixes base elements")
         if grid_witness(iso[quotient.mul], ext.base.mul[iso[:, None], iso[None, :]]) is not None:
             raise ConsistencyError("fiber quotient is not isomorphic to the base")
         if morphism_witness(iso, quotient.heap, ext.base.heap) is not None:
@@ -202,17 +199,15 @@ def base_subtruss(ext):
     """T x {e}: a sub-truss and left paragon whose module quotient returns M.
 
     Returns (paragon, quotient_module, projection, iso) with iso sending each
-    class to the module element shared by its members; iso is checked to be a
-    module isomorphism onto M with the extension action.
+    class to the module element its members share (``induced_table``); iso
+    is checked to be a module isomorphism onto M with the extension action.
     """
     n, m = ext.base.order, ext.m
-    members = [ext.pair(t, ext.anchor) for t in range(n)]
-    marr = np.array(members)
-    mul = ext.truss.mul
-    closed_mul = np.isin(mul[np.ix_(marr, marr)], marr).all()
-    if not closed_mul or subheap_witness(ext.truss, members) is not None:
+    members = np.arange(n) * m + ext.anchor
+    result = is_paragon(ext.truss, members)  # a failed sub-heap test is failures["subheap"]
+    closed_mul = np.isin(ext.truss.mul[np.ix_(members, members)], members).all()
+    if not closed_mul or "subheap" in result.failures:
         raise ConsistencyError("T x {e} is not a sub-truss")
-    result = is_paragon(ext.truss, members)
     if result.kind not in ("left", "two-sided", "ideal"):
         raise ConsistencyError("T x {e} is not a left paragon")
 
@@ -220,12 +215,9 @@ def base_subtruss(ext):
     qmod, proj = quotient_module(regular, members)
     if qmod.order != m:
         raise ConsistencyError("module quotient by T x {e} has the wrong order")
-    iso = np.empty(m, dtype=np.int64)
-    for cls in range(m):
-        seconds = {ext.unpair(i)[1] for i in np.flatnonzero(proj == cls)}
-        if len(seconds) != 1:
-            raise ConsistencyError("T x {e} class mixes module elements")
-        iso[cls] = seconds.pop()
+    iso, w = induced_table(proj, np.arange(n * m) % m)
+    if w is not None:
+        raise ConsistencyError("T x {e} class mixes module elements")
     if morphism_witness(iso, qmod.heap, ext.module.heap) is not None:
         raise ConsistencyError("quotient-by-base is not heap-isomorphic to M")
     # equivariance against the extension action on M
@@ -239,17 +231,17 @@ def split_sequence_check(ext, a):
     """The split sequence M >--> T[M;e] -->> T with section t -> (t, e).
 
     Checks each arrow's defining property and that the kernel relation of the
-    projection is the sub-heap relation of the embedded fiber at a.
+    projection, the blocks {t} x M, is the sub-heap relation of the fiber at a.
     """
     n, m = ext.base.order, ext.m
     report = Report("split sequence at fiber %d" % a)
-    emb = np.array([ext.pair(a, x) for x in range(m)])
+    emb = a * m + np.arange(m)
     report.add("fiber_embedding_is_heap_morphism",
                morphism_witness(emb, ext.module.heap, ext.truss.heap) is None)
     report.add("fiber_embedding_injective", len(set(emb.tolist())) == m)
 
-    sec = np.array([ext.pair(t, ext.anchor) for t in range(n)])
     idx_n = np.arange(n)
+    sec = idx_n * m + ext.anchor
     report.add(
         "section_multiplicative",
         grid_witness(ext.truss.mul[sec[:, None], sec[None, :]], sec[ext.base.mul]) is None,
@@ -258,7 +250,7 @@ def split_sequence_check(ext, a):
                morphism_witness(sec, ext.base.heap, ext.truss.heap) is None)
     report.add("section_injective", len(set(sec.tolist())) == n)
 
-    pi = np.array([ext.unpair(i)[0] for i in range(n * m)])
+    pi = np.arange(n * m) // m
     report.add(
         "projection_multiplicative",
         grid_witness(pi[ext.truss.mul], ext.base.mul[pi[:, None], pi[None, :]]) is None,
@@ -267,13 +259,9 @@ def split_sequence_check(ext, a):
                morphism_witness(pi, ext.truss.heap, ext.base.heap) is None)
     report.add("projection_surjective", len(set(pi.tolist())) == n)
     report.add("projection_section_is_identity", bool((pi[sec] == idx_n).all()))
-
-    # kernel relation of pi == sub-heap relation of the embedded fiber
-    kernel = {frozenset(np.flatnonzero(pi == t).tolist()) for t in range(n)}
-    fiber_classes = {
-        frozenset(c) for c in subheap_relation_classes(ext.truss.heap, emb.tolist())
-    }
-    report.add("kernel_matches_fiber_relation", kernel == fiber_classes)
+    kernel = np.arange(n * m).reshape(n, m)  # classes of pi by smallest member
+    report.add("kernel_matches_fiber_relation",
+               np.array_equal(kernel, subheap_relation_classes(ext.truss.heap, emb)))
     return report
 
 

@@ -4,7 +4,9 @@ Used to identify the multiplicative structures that show up downstream: unit
 groups of trusses and the additive retracts of heaps.  Groups here may be
 nonabelian; abelian ones get an invariant-factor decomposition, everything
 gets an isomorphism-invariant fingerprint, and isomorphism itself is decided
-by backtracking over generator images with fingerprint pruning.
+by backtracking over generator images with fingerprint pruning.  A quotient
+by a normal subgroup is the multiplication the cosets induce
+(``heaps.induced_table``), and that check is also the normality test.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heaps import AbGroup, _norm_labels, _square_table
+from .heaps import AbGroup, _element_orders, _norm_labels, _square_table, induced_table, pair_table
 from .lawcheck import ConsistencyError, Report, ValidationError, associativity_witness
 
 NODE_BUDGET = 1_000_000
@@ -98,19 +100,7 @@ class FiniteGroup:
         return x
 
     def element_orders(self):
-        orders = np.ones(self.order, dtype=np.int64)
-        cur = np.arange(self.order)
-        pending = cur != self.id
-        k = 1
-        while pending.any():
-            k += 1
-            cur = self.mul[cur, np.arange(self.order)]
-            done = pending & (cur == self.id)
-            orders[done] = k
-            pending &= ~done
-            if k > self.order:
-                raise ConsistencyError("element order exceeds group order")
-        return orders
+        return _element_orders(self.mul, self.id)
 
     def is_abelian(self):
         return bool((self.mul == self.mul.T).all())
@@ -143,31 +133,23 @@ class FiniteGroup:
         return self.closure(np.unique(comms))
 
     def quotient_by(self, normal_members):
-        """Quotient by a normal subgroup; returns (group, projection)."""
-        members = tuple(sorted(int(m) for m in normal_members))
-        nset = np.zeros(self.order, dtype=bool)
-        nset[list(members)] = True
-        narr = np.array(members)
-        for g in range(self.order):
-            left = np.sort(self.mul[g, narr])
-            right = np.sort(self.mul[narr, g])
-            if not np.array_equal(left, right):
-                raise ValueError("subgroup is not normal; quotient undefined")
-        proj = np.full(self.order, -1, dtype=np.int64)
-        classes = []
-        for g in range(self.order):
-            if proj[g] >= 0:
-                continue
-            coset = np.unique(self.mul[g, narr])
-            proj[coset] = len(classes)
-            classes.append(coset)
-        reps = np.array([c[0] for c in classes])
-        qmul = proj[self.mul[np.ix_(reps, reps)]]
+        """Quotient by a normal subgroup N; returns (group, projection).
+
+        The classes are the left cosets gN, ordered by smallest member.  They
+        induce a multiplication (``induced_table``) exactly when N is normal,
+        so that one check is the normality test.
+        """
+        narr = np.array(sorted({int(m) for m in normal_members}), dtype=np.int64)
+        if not narr.size or not np.isin(self.mul[np.ix_(narr, narr)], narr).all():
+            raise ValueError("members are not a subgroup; quotient undefined")
+        cosets = np.sort(self.mul[:, narr], axis=1)  # row g: the coset gN
+        _, first, proj = np.unique(cosets[:, 0], return_index=True, return_inverse=True)
+        qmul, w = induced_table(proj, proj[self.mul])
+        if w is not None:
+            raise ValueError("subgroup is not normal; quotient undefined")
         labels = None
         if self.labels:
-            labels = [
-                "{%s}" % ",".join(self.labels[m] for m in c) for c in classes
-            ]
+            labels = ["{%s}" % ",".join(self.labels[m] for m in cosets[g]) for g in first]
         proj.setflags(write=False)
         return FiniteGroup(qmul, labels=labels, check=False), proj
 
@@ -409,10 +391,7 @@ def quaternion_group():
 
 
 def direct_product(g, h):
-    n2 = h.order
-    mul = (g.mul[:, None, :, None] * n2 + h.mul[None, :, None, :]).reshape(
-        g.order * n2, g.order * n2
-    )
+    mul = pair_table(g.mul, h.mul)
     labels = None
     if g.labels and h.labels:
         labels = ["(%s,%s)" % (a, b) for a in g.labels for b in h.labels]

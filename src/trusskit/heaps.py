@@ -12,6 +12,10 @@ the n^3 bracket table, and leaves raw ternary tables to a single validating
 entry point, ``validate_ternary_table``.  A heap morphism is an additive map
 of retracts, so ``morphism_witness`` decides it on a generating set; every
 distributivity-type law reduces to that check and runs exhaustively.
+
+Every quotient (heaps, trusses, modules, groups) and congruence test goes
+through ``induced_table``: the table a projection induces on its classes,
+read at their smallest members, and the first cell where it is ill-defined.
 """
 
 from __future__ import annotations
@@ -157,19 +161,7 @@ class AbGroup:
         return int(self.neg[a])
 
     def element_orders(self):
-        orders = np.ones(self.order, dtype=np.int64)
-        cur = np.arange(self.order)
-        pending = cur != self.zero
-        k = 1
-        while pending.any():
-            k += 1
-            cur = self.add[cur, np.arange(self.order)]
-            done = pending & (cur == self.zero)
-            orders[done] = k
-            pending &= ~done
-            if k > self.order:
-                raise ConsistencyError("element order exceeds group order")
-        return orders
+        return _element_orders(self.add, self.zero)
 
     @classmethod
     def cyclic(cls, n, labels=None):
@@ -182,15 +174,10 @@ class AbGroup:
         return cls(add, labels=labels, check=False)
 
     def direct_sum(self, other):
-        n2 = other.order
-        add = (self.add[:, None, :, None] * n2 + other.add[None, :, None, :]).reshape(
-            self.order * n2, self.order * n2
-        )
+        add = pair_table(self.add, other.add)
         labels = None
         if self.labels and other.labels:
-            labels = [
-                "(%s,%s)" % (a, b) for a in self.labels for b in other.labels
-            ]
+            labels = ["(%s,%s)" % (a, b) for a in self.labels for b in other.labels]
         return AbGroup(add, labels=labels, check=False)
 
     def __eq__(self, other):
@@ -203,6 +190,26 @@ class AbGroup:
 
     def __repr__(self):
         return "AbGroup(order=%d, zero=%d)" % (self.order, self.zero)
+
+
+def _element_orders(op, e):
+    """The order of each element under the group table ``op`` with identity ``e``."""
+    n = len(op)
+    orders, cur = np.zeros(n, dtype=np.int64), np.full(n, e)
+    for k in range(1, n + 1):
+        cur = op[cur, np.arange(n)]  # x^k
+        orders[(orders == 0) & (cur == e)] = k
+        if orders.all():
+            return orders
+    raise ConsistencyError("element order exceeds group order")
+
+
+def pair_table(a, b):
+    """The componentwise table ((i, x), (j, y)) -> (a[i, j], b[x, y]) on pairs,
+    the pair (u, v) at index u * k + v where b's values lie in range(k),
+    k = b.shape[1].  Serves group tables and module actions alike."""
+    k = b.shape[1]
+    return (a[:, None, :, None] * k + b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 class Heap:
@@ -423,11 +430,10 @@ def subheap_relation_classes(h, s):
     rows = np.sort(h.bracket_arrays(np.arange(h.order)[:, None], sarr[0], sarr[None, :]), axis=1)
     if (rows[:, 1:] == rows[:, :-1]).any():
         raise ConsistencyError("sub-heap relation classes are not equal-size cosets")
-    mins, first = np.unique(rows[:, 0], return_index=True)
-    classes = rows[first]  # one row per smallest member; every row must equal its class
-    if not (np.array_equal(np.sort(classes, axis=None), np.arange(h.order))
-            and np.array_equal(rows, classes[np.searchsorted(mins, rows[:, 0])])):
-        raise ConsistencyError("sub-heap relation classes overlap")
+    proj = np.unique(rows[:, 0], return_inverse=True)[1]  # classes by smallest member
+    classes, w = induced_table(proj, rows, axes=(0,))
+    if w is not None or not np.array_equal(np.sort(classes, axis=None), np.arange(h.order)):
+        raise ConsistencyError("sub-heap relation classes overlap")  # a row is not its class
     classes = [tuple(int(v) for v in c) for c in classes]
     if members not in classes:
         raise ConsistencyError("sub-heap relation classes are not equal-size cosets")
@@ -486,30 +492,41 @@ def closed_subheaps(h, e, maps):
     return sorted(sets, key=lambda s: (len(s), s))
 
 
+def induced_table(proj, values, axes=None):
+    """``(table, witness)``: the table ``values`` induces on the classes of
+    ``proj`` (class indices 0..k-1, ordered by smallest member) along
+    ``axes`` (default: all), read at the smallest members.  ``witness`` is
+    the first cell, row-major, where ``values`` differs from ``table`` read
+    back through ``proj``, else None.  With ``values = proj[op]`` it asks
+    whether the classes are a congruence of ``op`` (of a module action:
+    axis 1); with a map f, whether f factors through the classes.
+    """
+    reps = np.unique(proj, return_index=True)[1]
+    table = folded = values
+    for a in range(values.ndim) if axes is None else axes:
+        table = table.take(reps, axis=a)
+        folded = folded.take(reps, axis=a).take(proj, axis=a)
+    return table, grid_witness(values, folded)
+
+
 def quotient_heap(h, s):
     """Quotient heap on the ~_s classes, plus the projection map.
 
-    Returns ``(heap, projection)`` where projection[x] is the class index of
-    x.  Classes are ordered by smallest member.  The bracket of classes is
-    computed on representatives; representative independence is the
-    projection being a heap morphism, checked by ``morphism_witness``.
+    Returns ``(heap, projection)``, projection[x] the class index of x,
+    classes ordered by smallest member.  The quotient's retract is the
+    addition ``induced_table`` reads off the basepoint's retract: heap
+    congruences are the congruences of +, as -b is a multiple of b.
     """
     classes = subheap_relation_classes(h, s)
-    proj = np.full(h.order, -1, dtype=np.int64)
-    for i, cls in enumerate(classes):
-        proj[list(cls)] = i
-    reps = np.array([cls[0] for cls in classes])
-    bp_class = int(proj[h.basepoint])
-    addq = proj[
-        h.bracket_arrays(reps[:, None], reps[bp_class], reps[None, :])
-    ]
+    proj = np.empty(h.order, dtype=np.int64)
+    proj[np.array(classes)] = np.arange(len(classes))[:, None]  # equal-size cosets
+    addq, w = induced_table(proj, proj[h.retract.add])
+    if w is not None:
+        raise ConsistencyError("quotient heap bracket is ill-defined")
     labels = ["{%s}" % ",".join(h.label_of(m) for m in cls) for cls in classes]
     qheap = Heap(AbGroup(addq, labels=labels))
-    if qheap.basepoint != bp_class:
+    if qheap.basepoint != proj[h.basepoint]:
         raise ConsistencyError("quotient basepoint is not the basepoint class")
-
-    if morphism_witness(proj, h, qheap) is not None:
-        raise ConsistencyError("quotient heap bracket is ill-defined")
     proj.setflags(write=False)
     return qheap, proj
 

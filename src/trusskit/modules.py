@@ -8,8 +8,9 @@ itself otherwise), so that law is checked only in the two-sided case.
 Right modules are left modules over the opposite truss; the opposite
 constructor lives in ``trusses``.  Congruences are found by the closure
 engine ``heaps.closed_subheaps`` (one congruence per closed sub-heap through
-the basepoint, at every order), and the equivalence between congruence
-classes and induced submodules is packaged as a report.
+the basepoint, at every order) and verified, like the quotient module, by
+``heaps.induced_table``; the equivalence between congruence classes and
+induced submodules is packaged as a report.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .heaps import (
     _norm_labels,
     closed_subheaps,
     heap_generators,
+    induced_table,
     morphism_witness,
+    pair_table,
     product_heap,
     quotient_heap,
     subheap_relation_classes,
@@ -131,10 +134,7 @@ def product_module(m1, m2, check=False):
     if m1.truss is not m2.truss and m1.truss != m2.truss:
         raise ValueError("product module needs both factors over the same truss")
     heap = product_heap(m1.heap, m2.heap)
-    k = m2.order
-    action = (m1.action[:, :, None] * k + m2.action[:, None, :]).reshape(
-        m1.truss.order, m1.order * k
-    )
+    action = pair_table(m1.action, m2.action)[:: m1.truss.order + 1]  # rows (t, t) of T x T
     return TModule(m1.truss, heap, action, check=check)
 
 
@@ -193,38 +193,26 @@ def is_induced_submodule(mod, s):
     return True, None
 
 
-def _is_heap_congruence(heap, cls_of, rep_of):
-    br = heap.bracket_arrays
-    idx = np.arange(heap.order)
-    full = cls_of[br(idx[:, None, None], idx[None, :, None], idx[None, None, :])]
-    folded = full[np.ix_(rep_of, rep_of, rep_of)][np.ix_(cls_of, cls_of, cls_of)]
-    return bool((full == folded).all())
-
-
-def _is_action_congruence(mod, cls_of, rep_of):
-    img = cls_of[mod.action]
-    return bool((img == img[:, rep_of][:, cls_of]).all())
-
-
 def congruences(mod):
     """All partitions of the carrier that are heap and action congruences.
 
     A congruence is fixed by its class S through the basepoint e, a sub-heap
     closed under x -> [t.x, t.e, e] for every t; each such S gives x ~ y iff
     [x, y, e] in S.  So these are the ``subheap_relation_classes`` of the
-    ``closed_subheaps``, each re-verified by the direct congruence checks:
-    a table that breaks the module laws never yields a false congruence.
-    Blocks are ordered by smallest member and the list by class-index tuple,
-    the restricted-growth order of set partitions.
+    ``closed_subheaps``, each re-verified by ``induced_table`` on + (as in
+    ``quotient_heap``) and the action: a table that breaks the module laws
+    never yields a false congruence.  Blocks are ordered by smallest member
+    and the list by class-index tuple, the restricted-growth order of set
+    partitions.
     """
     found = []
     for s in closed_subheaps(mod.heap, mod.heap.basepoint, mod.action) if mod.order else ():
         classes = subheap_relation_classes(mod.heap, s)
-        cls_of = np.empty(mod.order, dtype=np.int64)
-        cls_of[np.array(classes)] = np.arange(len(classes))[:, None]  # equal-size cosets
-        rep_of = np.array([b[0] for b in classes])
-        if _is_heap_congruence(mod.heap, cls_of, rep_of) and _is_action_congruence(mod, cls_of, rep_of):
-            found.append((tuple(cls_of.tolist()), tuple(classes)))
+        proj = np.empty(mod.order, dtype=np.int64)
+        proj[np.array(classes)] = np.arange(len(classes))[:, None]  # equal-size cosets
+        if (induced_table(proj, proj[mod.heap.retract.add])[1] is None
+                and induced_table(proj, proj[mod.action], axes=(1,))[1] is None):
+            found.append((tuple(proj.tolist()), tuple(classes)))
     return [classes for _, classes in sorted(found)]
 
 
@@ -297,10 +285,8 @@ def quotient_module(mod, s):
     if not ok:
         raise ValueError("quotient needs an induced submodule; failed %s at %s" % witness)
     qheap, proj = quotient_heap(mod.heap, SubHeap(mod.heap, members, check=False))
-    reps = np.unique(proj, return_index=True)[1]  # first member of each class
-    composed = proj[mod.action]
-    qact = composed[:, reps]
-    if grid_witness(composed, qact[:, proj]) is not None:
+    qact, w = induced_table(proj, proj[mod.action], axes=(1,))
+    if w is not None:
         raise ConsistencyError("class action depends on representatives")
     qmod = TModule(mod.truss, qheap, qact, labels=qheap.labels)
     return qmod, proj

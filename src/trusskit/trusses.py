@@ -20,6 +20,7 @@ from .heaps import (
     closed_subheaps,
     heap_from_group,
     heap_generators,
+    induced_table,
     morphism_witness,
     quotient_heap,
     retract,
@@ -336,18 +337,16 @@ def _as_paragon(t, p, need=("two-sided", "ideal")):
 def quotient_truss(t, p):
     """Quotient truss on the ~_P classes plus the projection map.
 
-    Requires a two-sided truss and a (two-sided) paragon.  Representative
-    independence of the class product is asserted over all pairs; identity
-    and absorber classes propagate automatically.
+    Requires a two-sided truss and a (two-sided) paragon.  The class product
+    is the one ``mul`` induces (``induced_table``, every pair checked);
+    identity and absorber classes propagate automatically.
     """
     if t.sided != TWO_SIDED:
         raise ValueError("quotient of a left truss is out of scope; need two-sided")
     p = _as_paragon(t, p)
     qheap, proj = quotient_heap(t.heap, SubHeap(t.heap, p.members, check=False))
-    reps = np.unique(proj, return_index=True)[1]  # first member of each class
-    composed = proj[t.mul]
-    qmul = composed[np.ix_(reps, reps)]
-    if grid_witness(composed, qmul[proj[:, None], proj[None, :]]) is not None:
+    qmul, w = induced_table(proj, proj[t.mul])
+    if w is not None:
         raise ConsistencyError("class multiplication depends on representatives")
     q = Truss(qheap, qmul, sided=t.sided, labels=qheap.labels)
     if t.identity is not None and q.identity != int(proj[t.identity]):

@@ -123,6 +123,18 @@ class TestGroupRing:
         assert not any(name.endswith("_is_paragon") for name in failed)
         assert {"fiber_%d_quotient_is_coefficient_truss" % r for r in range(5)} <= failed
 
+    def test_quotient_check_catches_a_relabelled_projection(self, monkeypatch):
+        gr = group_ring(zn_ring(3), cyclic_group(2))
+        build = catalog.quotient_truss
+
+        def relabelled(t, p):  # classes 0 and 1 swapped, the quotient kept
+            quotient, proj = build(t, p)
+            return quotient, np.array([1, 0, 2])[proj]
+
+        monkeypatch.setattr(catalog, "quotient_truss", relabelled)
+        failed = {c.name for c in group_ring_paragon_report(gr).failures()}
+        assert failed == {"fiber_%d_quotient_is_coefficient_truss" % r for r in range(3)}
+
     def test_trivial_group_reproduces_ring(self):
         gr = group_ring(zn_ring(5), cyclic_group(1))
         assert (gr.ring.mul == zn_ring(5).mul).all()

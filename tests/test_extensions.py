@@ -26,7 +26,7 @@ from trusskit import (
     za_truss,
     zn_truss,
 )
-from trusskit import jsonio, trusses
+from trusskit import extensions, heaps, jsonio, modules, trusses
 from trusskit.catalog import left_translation_truss
 from trusskit.extensions import ExtTruss
 from trusskit.modules import TModule
@@ -301,3 +301,49 @@ class TestClauseSuiteAndIteration:
         base = zn_truss(2)
         phi = iterated_extension_matches_product(base, regular_module(base), 0)
         assert sorted(phi) == list(range(8))
+
+
+def _relabelled(build):
+    """``build`` with classes 0 and 1 of its projection swapped, the quotient kept."""
+    def wrapped(*args):
+        quotient, proj = build(*args)
+        swap = np.arange(int(proj.max()) + 1)
+        swap[[0, 1]] = [1, 0]
+        return quotient, swap[proj]
+    return wrapped
+
+
+class TestRelabelledQuotient:
+    """A projection whose class numbers disagree with its quotient's tables
+    fails every extension check that reads classes off the projection."""
+
+    def ext_z4(self):
+        return extend(zn_truss(4), regular_module(zn_truss(4)), 0)
+
+    def test_fiber_paragon(self, monkeypatch):
+        ext = self.ext_z4()
+        fiber_paragon(ext, 1)
+        monkeypatch.setattr(extensions, "quotient_truss", _relabelled(trusses.quotient_truss))
+        with pytest.raises(ConsistencyError, match="fiber quotient is not isomorphic"):
+            fiber_paragon(ext, 1)
+
+    def test_base_subtruss(self, monkeypatch):
+        ext = self.ext_z4()
+        base_subtruss(ext)
+        monkeypatch.setattr(extensions, "quotient_module", _relabelled(modules.quotient_module))
+        with pytest.raises(ConsistencyError, match="quotient-by-base is not"):
+            base_subtruss(ext)
+
+    def test_split_sequence(self, monkeypatch):
+        ext = self.ext_z4()
+        assert split_sequence_check(ext, 1).ok
+        relation = heaps.subheap_relation_classes
+        monkeypatch.setattr(extensions, "subheap_relation_classes",
+                            lambda h, s: [relation(h, s)[i] for i in (1, 0, 2, 3)])
+        failed = [c.name for c in split_sequence_check(ext, 1).failures()]
+        assert failed == ["kernel_matches_fiber_relation"]
+
+    def test_clause_report(self, monkeypatch):
+        monkeypatch.setattr(extensions, "quotient_truss", _relabelled(trusses.quotient_truss))
+        _, report = extension_clause_report(zn_truss(4), regular_module(zn_truss(4)), 0)
+        assert [c.name for c in report.failures()] == ["fiber_paragons_and_quotients"]

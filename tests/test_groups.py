@@ -203,3 +203,64 @@ class TestNamedMatch:
     def test_product_match(self):
         g = direct_product(dihedral_group(8), cyclic_group(2))
         assert named_match(g) == "D8xC2"
+
+
+def _quotient_by_loops(g, normal_members):
+    """The per-element quotient: normality as gN = Ng for every g, then the
+    cosets in order of discovery, the table read at their first members."""
+    narr = np.array(sorted(int(m) for m in normal_members))
+    for x in range(g.order):
+        if not np.array_equal(np.sort(g.mul[x, narr]), np.sort(g.mul[narr, x])):
+            raise ValueError("subgroup is not normal; quotient undefined")
+    proj = np.full(g.order, -1, dtype=np.int64)
+    classes = []
+    for x in range(g.order):
+        if proj[x] < 0:
+            coset = np.unique(g.mul[x, narr])
+            proj[coset] = len(classes)
+            classes.append(coset)
+    reps = np.array([c[0] for c in classes])
+    labels = ["{%s}" % ",".join(g.labels[m] for m in c) for c in classes] if g.labels else None
+    return proj[g.mul[np.ix_(reps, reps)]], proj, labels
+
+
+def _subgroups(g):
+    """Every subgroup: the cyclic ones, then joins until none is new."""
+    found = {g.closure([x]) for x in range(g.order)}
+    frontier = set(found)
+    while frontier:
+        joins = {g.closure(h + k) for h in frontier for k in found}
+        frontier = joins - found
+        found |= frontier
+    return sorted(found, key=lambda h: (len(h), h))
+
+
+class TestQuotientBy:
+    @pytest.mark.parametrize("spec,counts", [
+        ("dihedral:8", (10, 6)),
+        ("quaternion", (6, 6)),
+        ("dihedral:8*cyclic:2", (35, 19)),
+        ("cyclic:2*cyclic:2*cyclic:2", (16, 16)),
+    ])
+    def test_every_subgroup_against_the_loops(self, spec, counts):
+        g = group_from_spec(spec)
+        subgroups = _subgroups(g)
+        normal = 0
+        for h in subgroups:
+            try:
+                want = _quotient_by_loops(g, h)
+            except ValueError:
+                with pytest.raises(ValueError, match="subgroup is not normal"):
+                    g.quotient_by(h)
+                continue
+            normal += 1
+            q, proj = g.quotient_by(h)
+            assert np.array_equal(q.mul, want[0])
+            assert np.array_equal(proj, want[1])
+            assert q.labels == (None if want[2] is None else tuple(want[2]))
+        assert (len(subgroups), normal) == counts
+
+    @pytest.mark.parametrize("members", [[], [1], [0, 1], [0, 1, 2]])
+    def test_non_subgroup_rejected(self, members):
+        with pytest.raises(ValueError, match="not a subgroup"):
+            cyclic_group(4).quotient_by(members)

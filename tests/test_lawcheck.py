@@ -27,6 +27,7 @@ from trusskit import (
     brace_from_truss,
     brace_ideals,
     brace_law_report,
+    congruences,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -55,7 +56,7 @@ from trusskit import (
     zn_truss,
 )
 from trusskit.catalog import left_translation_truss
-from trusskit.heaps import morphism_witness, retract
+from trusskit.heaps import induced_table, morphism_witness, retract
 from trusskit.lawcheck import Report
 from trusskit.trusses import ParagonReport
 
@@ -595,6 +596,94 @@ def test_quotient_membership_matches_coset_scan():
         s = tuple(x for x in range(b.order) if bits >> x & 1)
         report = ideal_iff_normal_paragon(b, s)
         assert "member_of_some_quotient=%s" % (s in cosets) in report.notes
+
+
+# ------------------------------------------------- induced class tables
+
+def _induced_oracle(proj, values, axes):
+    """Cell by cell: the induced table read at each class's smallest member,
+    and the first cell (row-major) whose value differs from the value with
+    every carrier coordinate moved to the smallest member of its class."""
+    first = {}
+    for x, c in enumerate(proj.tolist()):
+        first.setdefault(c, x)
+    smallest = [first[c] for c in proj.tolist()]
+    shape = tuple(len(first) if a in axes else s for a, s in enumerate(values.shape))
+    table = np.empty(shape, dtype=values.dtype)
+    for cell in np.ndindex(shape):
+        table[cell] = values[tuple(first[c] if a in axes else c for a, c in enumerate(cell))]
+    for cell in np.ndindex(values.shape):
+        at = tuple(smallest[c] if a in axes else c for a, c in enumerate(cell))
+        if values[cell] != values[at]:
+            return table, cell
+    return table, None
+
+
+def _classes_to_proj(n, classes):
+    proj = np.empty(n, dtype=np.int64)
+    for i, block in enumerate(classes):
+        proj[list(block)] = i
+    return proj
+
+
+def _draw_proj(data, n, lawful):
+    """A congruence of the structure (when ``lawful`` lists any), else an
+    arbitrary partition in restricted-growth order."""
+    if lawful and data.draw(st.booleans()):
+        return _classes_to_proj(n, data.draw(st.sampled_from(lawful)))
+    rgs = [0]
+    for _ in range(n - 1):
+        rgs.append(data.draw(st.integers(0, max(rgs) + 1)))
+    return np.array(rgs, dtype=np.int64)
+
+
+class TestInducedTable:
+    """``heaps.induced_table`` against the cell scan, on lawful and corrupted
+    tables of order <= 12: the same table, verdict and first witness."""
+
+    def _check(self, proj, values, axes):
+        table, w = induced_table(proj, values, axes=axes)
+        want_table, want_w = _induced_oracle(proj, values, axes or range(values.ndim))
+        assert np.array_equal(table, want_table)
+        assert w == want_w
+
+    @ORACLE
+    @given(st.data())
+    def test_group_addition(self, data):
+        g = data.draw(st.sampled_from(GROUPS))
+        cosets = congruences(trivial_module(zn_truss(1), heap_from_group(g)))
+        proj = _draw_proj(data, g.order, cosets)
+        self._check(proj, proj[_corrupt(data, g.add, g.order)], None)
+
+    @ORACLE
+    @given(st.data())
+    def test_truss_multiplication(self, data):
+        t = data.draw(st.sampled_from(_trusses()))
+        proj = _draw_proj(data, t.order, congruences(regular_module(t)))
+        self._check(proj, proj[_corrupt(data, t.mul, t.order)], None)
+
+    @ORACLE
+    @given(st.data())
+    def test_module_action_carrier_axis(self, data):
+        mod = data.draw(st.sampled_from(_modules()))
+        proj = _draw_proj(data, mod.order, congruences(mod))
+        self._check(proj, proj[_corrupt(data, mod.action, mod.order)], (1,))
+
+    @ORACLE
+    @given(st.data())
+    def test_map_through_classes(self, data):
+        n = data.draw(st.integers(1, 12))
+        proj = _draw_proj(data, n, [])
+        k = int(proj.max()) + 1
+        f = np.array(data.draw(st.lists(st.integers(0, 5), min_size=k, max_size=k)))[proj]
+        self._check(proj, _corrupt(data, f, 6), None)
+
+    def test_lawful_congruences_have_no_witness(self):
+        for t in _trusses()[:12]:
+            for classes in congruences(regular_module(t)):
+                proj = _classes_to_proj(t.order, classes)
+                assert induced_table(proj, proj[t.mul], axes=(1,))[1] is None
+                assert induced_table(proj, proj[t.heap.retract.add])[1] is None
 
 
 # --------------------------------------------------------- catalog sweep

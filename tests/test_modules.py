@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +32,23 @@ from trusskit import (
 )
 from trusskit.catalog import end_truss, left_translation_truss, trunc_poly_truss, za_truss
 from trusskit.extensions import extend
-from trusskit.heaps import subheap_witness
-from trusskit.modules import _is_action_congruence, _is_heap_congruence
+from trusskit.heaps import closed_subheaps, subheap_relation_classes, subheap_witness
 from trusskit.trusses import opposite_truss
+
+
+def _is_heap_congruence(heap, cls_of, rep_of):
+    """Oracle: the full n^3 bracket table, projected, against its class fold."""
+    br = heap.bracket_arrays
+    idx = np.arange(heap.order)
+    full = cls_of[br(idx[:, None, None], idx[None, :, None], idx[None, None, :])]
+    folded = full[np.ix_(rep_of, rep_of, rep_of)][np.ix_(cls_of, cls_of, cls_of)]
+    return bool((full == folded).all())
+
+
+def _is_action_congruence(mod, cls_of, rep_of):
+    """Oracle: every action cell, projected, against its class fold."""
+    img = cls_of[mod.action]
+    return bool((img == img[:, rep_of][:, cls_of]).all())
 
 
 def _partitions(m):
@@ -242,6 +257,34 @@ class TestCongruences:
             assert add_based == heap_based
 
 
+    def test_regular_z64_matches_cubic_checks(self):
+        # the n^3 bracket and action oracles on every closed sub-heap's classes
+        mod = regular_module(zn_truss(64))
+        found = []
+        for s in closed_subheaps(mod.heap, mod.heap.basepoint, mod.action):
+            classes = subheap_relation_classes(mod.heap, s)
+            cls_of = np.empty(mod.order, dtype=np.int64)
+            for i, block in enumerate(classes):
+                cls_of[list(block)] = i
+            rep_of = np.array([b[0] for b in classes])
+            if (_is_heap_congruence(mod.heap, cls_of, rep_of)
+                    and _is_action_congruence(mod, cls_of, rep_of)):
+                found.append((tuple(cls_of.tolist()), tuple(classes)))
+        assert congruences(mod) == [classes for _, classes in sorted(found)]
+        assert [len(c) for c in congruences(mod)] == [1, 2, 4, 8, 16, 32, 64]
+
+    def test_order_128_allocates_no_cubic_table(self):
+        mod = regular_module(zn_truss(128))
+        tracemalloc.start()
+        try:
+            found = congruences(mod)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(c) for c in found] == [1, 2, 4, 8, 16, 32, 64, 128]
+        assert peak < 128 ** 3 * 8 // 4  # a quarter of one int64 n^3 array
+
+
 class TestShift:
     def test_shift_even_to_odd(self):
         assert shift_submodule(z4_regular(), (0, 2), 0, 1) == (1, 3)
@@ -310,6 +353,13 @@ class TestProductAndOpposite:
         prod = product_module(regular_module(t), regular_module(t))
         assert prod.order == 4
         assert module_law_report(prod).ok
+
+    def test_product_module_acts_componentwise(self):
+        t = zn_truss(3)
+        m1, m2 = regular_module(t), trivial_module(t, heap_from_group(AbGroup.cyclic(2)))
+        prod = product_module(m1, m2)
+        for s, x, y in itertools.product(range(3), range(3), range(2)):
+            assert prod.act(s, x * 2 + y) == m1.act(s, x) * 2 + m2.act(s, y)
 
     def test_right_module_via_opposite(self):
         # opposite of a noncommutative truss carries the right regular action
