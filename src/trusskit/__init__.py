@@ -50,6 +50,7 @@ from .trusses import (
     is_normal_paragon,
     is_paragon,
     is_ring_type,
+    is_zn_truss,
     lambda_q,
     odd_multiple_check,
     opposite_truss,

@@ -13,6 +13,7 @@ of its arguments: checking every residue mod n is exhaustive over Z.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .extensions import extend
 from .groups import FiniteGroup, abelian_coordinates, map_from_basis_images
-from .heaps import AbGroup, heap_from_group, induced_table, morphism_witness
+from .heaps import AbGroup, heap_from_group, induced_table, morphism_witness, pair_table
 from .lawcheck import ConsistencyError, Report, grid_witness
 from .modules import TModule
 from .trusses import Truss, is_paragon, quotient_truss, truss_from_ring, units
@@ -161,6 +162,31 @@ class GroupRing:
         return tuple(int(v) for v in np.flatnonzero(self.augmentation == r))
 
 
+def _free_ring(base, basis_mul, term):
+    """(digits, ring): R-combinations of k basis elements with products
+    basis_mul[i, j] (-1 for zero; one-to-one in j), labelled by the nonzero
+    term(c, i).  The carrier is the coefficient rows ``digits`` in
+    lexicographic order; the addition is the direct sum of k copies of R.
+    The product is bilinear: row a sums the q-row tables (c b_i) b at
+    c = a_i, one gather from the addition table each, all within n^2.
+    """
+    q, k = base.order, len(basis_mul)
+    order, zero = q ** k, base.add.zero
+    places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(order, dtype=np.int64)[:, None] // places % q
+    addt = functools.reduce(pair_table, [base.add.add] * k)
+    mult = np.full((order, order), zero * places.sum(), dtype=np.int64)
+    for i in range(k):
+        hit = np.flatnonzero(basis_mul[i] >= 0)
+        scaled = np.full((q, order, k), zero, dtype=np.int64)  # [c, b]: digits of (c b_i) b
+        scaled[:, :, basis_mul[i, hit]] = base.mul[:, digits[:, hit]]
+        mult = addt[mult, (scaled @ places)[digits[:, i]]]
+    labels = ["+".join(filter(None, (term(int(c), i) for i, c in enumerate(row)))) or "0"
+              for row in digits]
+    return digits, Ring(AbGroup(addt, labels=labels), mult, unital=base.unital,
+                        labels=tuple(labels))
+
+
 def group_ring(base, group):
     """The convolution ring on functions G -> R, carrier ordered by
     lexicographic coefficient vectors (coefficient of the first group element
@@ -169,28 +195,7 @@ def group_ring(base, group):
     order = q ** gn
     if order > GROUP_RING_MAX_ORDER:
         raise ValueError("group ring order %d exceeds the bound %d" % (order, GROUP_RING_MAX_ORDER))
-
-    digits = np.array(
-        [list(t) for t in itertools.product(range(q), repeat=gn)], dtype=np.int64
-    ).reshape(order, gn)
-    places = q ** np.arange(gn - 1, -1, -1, dtype=np.int64)
-
-    addt = np.empty((order, order), dtype=np.int64)
-    mult = np.empty((order, order), dtype=np.int64)
-    radd, rmul = base.add.add, base.mul
-    zero = base.add.zero
-    for i in range(order):
-        addt[i] = radd[digits[i][None, :], digits].dot(places)
-        acc = np.full((order, gn), zero, dtype=np.int64)
-        for gi in range(gn):
-            for gj in range(gn):
-                k = int(group.mul[gi, gj])
-                acc[:, k] = radd[acc[:, k], rmul[digits[i, gi], digits[:, gj]]]
-        mult[i] = acc.dot(places)
-
-    aug = digits[:, 0]
-    for gi in range(1, gn):
-        aug = radd[aug, digits[:, gi]]
+    radd, rmul, zero = base.add.add, base.mul, base.add.zero
 
     if group.labels and not all(s.isdigit() for s in group.labels):
         glabels = group.labels
@@ -209,19 +214,16 @@ def group_ring(base, group):
         name = glabels[gi]
         return name if coeff == "1" else coeff + name
 
-    labels = []
-    for row in digits:
-        parts = [term(int(c), gi) for gi, c in enumerate(row)]
-        parts = [p for p in parts if p]
-        labels.append("+".join(parts) if parts else "0")
-
-    ring = Ring(AbGroup(addt, labels=labels), mult, unital=base.unital, labels=tuple(labels))
+    digits, ring = _free_ring(base, group.mul, term)
+    aug = digits[:, 0]
+    for gi in range(1, gn):
+        aug = radd[aug, digits[:, gi]]
     gr = GroupRing(ring=ring, base=base, group=group, augmentation=aug)
 
     # augmentation must be a surjective ring map with equal-size fibers
-    if grid_witness(aug[addt], radd[aug[:, None], aug[None, :]]) is not None:
+    if grid_witness(aug[ring.add.add], radd[aug[:, None], aug[None, :]]) is not None:
         raise ConsistencyError("augmentation is not additive")
-    if grid_witness(aug[mult], rmul[aug[:, None], aug[None, :]]) is not None:
+    if grid_witness(aug[ring.mul], rmul[aug[:, None], aug[None, :]]) is not None:
         raise ConsistencyError("augmentation is not multiplicative")
     sizes = {len(gr.fiber(r)) for r in range(q)}
     if sizes != {order // q}:
@@ -300,20 +302,10 @@ class TruncPoly:
         coef = ainv
         for _ in range(self.n):
             acc = (acc + sign * coef * power) % q
-            power = _poly_mul(power, tail, self.n, q)
+            power = np.convolve(power, tail)[:self.n] % q
             sign = -sign
             coef = (coef * ainv) % q
         return self.index_of(acc)
-
-
-def _poly_mul(u, v, n, q):
-    out = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        if u[i] == 0:
-            continue
-        top = n - i
-        out[i:] = (out[i:] + u[i] * v[:top]) % q
-    return out
 
 
 def trunc_poly_truss(k, n):
@@ -324,22 +316,6 @@ def trunc_poly_truss(k, n):
     order = q ** n
     if order > TRUNC_POLY_MAX_ORDER:
         raise ValueError("carrier order %d exceeds the bound %d" % (order, TRUNC_POLY_MAX_ORDER))
-    coeffs = np.array(
-        [list(t) for t in itertools.product(range(q), repeat=n)], dtype=np.int64
-    ).reshape(order, n)
-    places = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-    addt = np.empty((order, order), dtype=np.int64)
-    mult = np.empty((order, order), dtype=np.int64)
-    for i in range(order):
-        addt[i] = ((coeffs[i][None, :] + coeffs) % q).dot(places)
-        acc = np.zeros((order, n), dtype=np.int64)
-        for d in range(n):
-            if coeffs[i, d] == 0:
-                continue
-            top = n - d
-            acc[:, d:] = (acc[:, d:] + coeffs[i, d] * coeffs[:, :top]) % q
-        mult[i] = acc.dot(places)
 
     def monomial(c, d):
         if c == 0:
@@ -349,13 +325,8 @@ def trunc_poly_truss(k, n):
         x = "x" if d == 1 else "x^%d" % d
         return x if c == 1 else "%d%s" % (c, x)
 
-    labels = []
-    for row in coeffs:
-        parts = [monomial(int(c), d) for d, c in enumerate(row)]
-        parts = [p for p in parts if p]
-        labels.append("+".join(parts) if parts else "0")
-
-    ring = Ring(AbGroup(addt, labels=labels), mult, unital=True, labels=tuple(labels))
+    degree = np.arange(n)[:, None] + np.arange(n)[None, :]  # x^i x^j = x^(i+j), 0 from x^n
+    coeffs, ring = _free_ring(zn_ring(q), np.where(degree < n, degree, -1), monomial)
     truss = ring.truss()
     tp = TruncPoly(k=k, n=n, ring=ring, truss=truss, coeffs=coeffs)
 
@@ -385,43 +356,36 @@ def endomorphism_maps(g):
 def end_truss(g):
     """The extension of the endomorphism ring of g by g itself, anchored at 0.
 
-    The product is checked against the direct formula
+    Sum and composition are looked up by the integer code of a map, its
+    images of ``g.generators`` (which fix an additive map) in base |g|.  The
+    product is checked against the direct formula
     (f, x)(f', x') = (f after f', x + f(x'))."""
-    endos = endomorphism_maps(g)
-    count = len(endos)
-    if count * g.order > END_TRUSS_MAX_ORDER:
+    endos = np.array(endomorphism_maps(g), dtype=np.int64).reshape(-1, g.order)
+    count, m = endos.shape
+    if count * m > END_TRUSS_MAX_ORDER:
         raise ValueError("endomorphism extension order %d exceeds the bound %d"
-                         % (count * g.order, END_TRUSS_MAX_ORDER))
-    key = {tuple(int(v) for v in f): i for i, f in enumerate(endos)}
-    idx = np.arange(g.order)
-    zero_map = tuple([int(g.zero)] * g.order)
-    id_map = tuple(int(v) for v in idx)
-    if zero_map not in key or id_map not in key:
+                         % (count * m, END_TRUSS_MAX_ORDER))
+    idx = np.arange(m)
+    if not ((endos == g.zero).all(axis=1).any() and (endos == idx).all(axis=1).any()):
         raise ConsistencyError("zero or identity endomorphism missing")
-
-    addt = np.empty((count, count), dtype=np.int64)
-    mult = np.empty((count, count), dtype=np.int64)
-    for i, f in enumerate(endos):
-        for j, h in enumerate(endos):
-            addt[i, j] = key[tuple(int(v) for v in g.add[f, h])]
-            mult[i, j] = key[tuple(int(v) for v in f[h])]
+    places = m ** np.arange(len(g.generators), dtype=np.int64)
+    codes = endos[:, g.generators] @ places
+    by_code = np.argsort(codes)
+    sums = g.add[endos[:, None], endos[None, :]]  # [i, j]: f_i + f_j
+    comps = endos[np.arange(count)[:, None, None], endos[None]]  # [i, j]: f_i o f_j
+    addt, mult = (by_code[np.searchsorted(codes[by_code], maps[:, :, g.generators] @ places)]
+                  for maps in (sums, comps))
+    if not (np.array_equal(endos[addt], sums) and np.array_equal(endos[mult], comps)):
+        raise ConsistencyError("endomorphisms are not closed under sum and composition")
     labels = ["f%d" % i for i in range(count)]
     ring = Ring(AbGroup(addt, labels=labels), mult, unital=True, labels=tuple(labels))
     t = ring.truss()
-    action = np.array(endos, dtype=np.int64).reshape(count, g.order)
-    module = TModule(t, heap_from_group(g), action)
+    module = TModule(t, heap_from_group(g), endos)
     ext = extend(t, module, int(g.zero))
 
     # (f, x)(f', x') = (f o f', x + f(x'))
-    m = g.order
-    direct = np.empty((count * m, count * m), dtype=np.int64)
-    for i, f in enumerate(endos):
-        for x in range(m):
-            row = np.empty((count, m), dtype=np.int64)
-            for j in range(count):
-                row[j] = mult[i, j] * m + g.add[x, f[np.arange(m)]]
-            direct[i * m + x] = row.reshape(-1)
-    if grid_witness(ext.truss.mul, direct) is not None:
+    direct = mult[:, None, :, None] * m + g.add[idx[None, :, None, None], endos[:, None, None, :]]
+    if grid_witness(ext.truss.mul, direct.reshape(count * m, count * m)) is not None:
         raise ConsistencyError("extension product differs from the direct formula")
     return ext
 

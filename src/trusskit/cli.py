@@ -12,6 +12,7 @@ a document or argument is malformed (one ``input error`` line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -40,9 +41,10 @@ from .modules import TModule
 from .trusses import (
     Truss,
     is_paragon,
+    is_zn_truss,
     quotient_truss,
-    truss_isomorphism,
     units,
+    units_paragon_report,
 )
 
 
@@ -79,8 +81,6 @@ def cmd_scan_units(args):
     if n_max > 64:
         raise SystemExit("scan bound is 64")
     report = Report("units paragon scan n = 2..%d" % n_max)
-    from .trusses import units_paragon_report
-
     hits = []
     for n in range(2, n_max + 1):
         rep = units_paragon_report(zn_truss(n))
@@ -142,12 +142,8 @@ def cmd_quotient(args):
         return report, {}
     q, _ = quotient_truss(t, result.paragon)
     report.note("quotient order %d" % q.order)
-    match = None
-    if q.absorber is not None and q.identity is not None:
-        if truss_isomorphism(q, zn_truss(q.order)) is not None:
-            match = "T(Z_%d)" % q.order
-    if match:
-        report.note("quotient isomorphic to %s" % match)
+    if is_zn_truss(q):
+        report.note("quotient isomorphic to T(Z_%d)" % q.order)
     report.add("quotient_constructed", True)
     return report, {"quotient": q}
 
@@ -324,10 +320,15 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.echo = argv
     start = time.perf_counter()
     try:

@@ -350,7 +350,7 @@ def validate_ternary_table(table):
     return heap
 
 
-def morphism_witness(rows, dom, cod):
+def morphism_witness(rows, dom, cod, at=None):
     """First failing (i, x, e, g) of row i of ``rows`` read as a map dom -> cod.
 
     Row i is a heap morphism f exactly when f([x, e, g]) = [f(x), f(e), f(g)]
@@ -361,14 +361,23 @@ def morphism_witness(rows, dom, cod):
     a heap morphism (Brzezinski, Trans. AMS 372 (2019)).  So each row costs
     n * r comparisons, r <= log2 n, instead of n^3.  Returns None when every
     row is a morphism.
+
+    ``at`` (``heap_generators`` of the heap indexing the rows) decides every
+    row once each column i -> rows[i, x] is a heap morphism: row [a, b, c]
+    is then [row a, row b, row c] pointwise, and morphisms are closed under
+    that.  A failure there reruns the full scan, for the first witness.
     """
     if dom.order == 0:
         return None
     rows = np.atleast_2d(rows)
+    picked = rows if at is None else rows[np.asarray(at)]
     e, gens = dom.basepoint, dom.retract.generators
-    lhs = rows[:, dom.retract.add[:, gens]]
-    rhs = cod.bracket_arrays(rows[:, :, None], rows[:, e][:, None, None], rows[:, None, gens])
+    lhs = picked[:, dom.retract.add[:, gens]]
+    rhs = cod.bracket_arrays(picked[:, :, None], picked[:, e][:, None, None],
+                             picked[:, None, gens])
     w = grid_witness(lhs, rhs)
+    if w is not None and at is not None:
+        return morphism_witness(rows, dom, cod)
     return None if w is None else (w[0], w[1], e, int(gens[w[2]]))
 
 

@@ -124,12 +124,12 @@ def grid_witness(lhs, rhs):
     return tuple(int(v) for v in np.argwhere(diff)[0])
 
 
-def associativity_witness(mul, act, mids=None, lasts=None):
+def associativity_witness(mul, act, mids=None, lasts=None, firsts=None):
     """First (s, t, x) with s(tx) != (st)x, or None.
 
     ``mul`` is a k x k multiplication and ``act`` a k x m table of its action
-    (``act = mul`` checks ``mul`` itself).  Two index sets decide the law at
-    n^2 (r + 1) instead of n^3:
+    (``act = mul`` checks ``mul`` itself).  Three index sets, one per
+    argument, decide the law on fewer triples than the k^2 m of the scan:
 
     * ``lasts`` restricts x to the carrier's basepoint e and its retract's
       generators, once every row x -> tx is a heap morphism.  Then
@@ -138,6 +138,12 @@ def associativity_witness(mul, act, mids=None, lasts=None):
     * ``mids`` restricts t to the identity and elements whose products
       reach every element (Light's test): the t with s(tx) = (st)x for all
       s, x are closed under products, s((ab)x) = (sa)(bx) = (s(ab))x.
+    * ``firsts`` and ``mids`` restrict s and t to the basepoint and heap
+      generators of ``mul`` too, once ``mul`` distributes on both sides and
+      each column s -> s.x of ``act`` is a heap morphism.  Both sides are
+      then heap morphisms in each argument (s -> (st)x is column t, then
+      column x; t -> (st)x row s, then column x), so agreement spreads to
+      every x, then t, then s: (r + 1)^3 triples for a truss.
 
     A restricted check that fails is followed by the full scan, so the
     witness is always the lexicographically first failing (s, t, x).  Rows s
@@ -148,13 +154,14 @@ def associativity_witness(mul, act, mids=None, lasts=None):
     xs = np.arange(m) if lasts is None else np.asarray(lasts)
     inner = act[np.ix_(ts, xs)]
     step = max(1, k * m // max(1, inner.size))
-    for lo in range(0, k, step):
-        prod = mul[lo:lo + step, ts]
+    for lo in range(0, k if firsts is None else len(firsts), step):
+        s = slice(lo, lo + step) if firsts is None else np.asarray(firsts)[lo:lo + step]
+        prod = mul[s][:, ts]
         rhs = act[prod] if lasts is None else act[prod[:, :, None], xs]
-        w = grid_witness(act[lo:lo + step][:, inner], rhs)
+        w = grid_witness(act[s][:, inner], rhs)
         if w is None:
             continue
-        if mids is not None or lasts is not None:
+        if firsts is not None or mids is not None or lasts is not None:
             return associativity_witness(mul, act)
         return (lo + w[0], int(ts[w[1]]), int(xs[w[2]]))
     return None

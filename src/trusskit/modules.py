@@ -22,9 +22,7 @@ from .heaps import (
     _int_table,
     _norm_labels,
     closed_subheaps,
-    heap_generators,
     induced_table,
-    morphism_witness,
     pair_table,
     product_heap,
     quotient_heap,
@@ -35,10 +33,9 @@ from .lawcheck import (
     ConsistencyError,
     Report,
     ValidationError,
-    associativity_witness,
     grid_witness,
 )
-from .trusses import TWO_SIDED
+from .trusses import TWO_SIDED, _law_witnesses
 
 
 class TModule:
@@ -81,25 +78,25 @@ def module_law_report(mod, seed=None):
     action is a heap morphism M -> M; over the truss's bracket, each column
     t -> t.x is a heap morphism T -> M.  ``morphism_witness`` decides both;
     the witnesses are the failing law instances (t, x, e, y) and
-    (s, e, t, x).  Once the carrier law holds, x -> s.(t.x) and x -> (st).x
-    are heap morphisms, so associativity needs x only at the basepoint and
-    the retract's generators (``associativity_witness``).  The truss-side
-    law is skipped for left trusses, where it is not part of the definition.
+    (s, e, t, x).  Over a two-sided truss the truss-side law is scanned in
+    full; once it holds, the generator rows of T decide the carrier law, and
+    once both do, the (r_T + 1)^2 (r_M + 1) generator triples decide
+    associativity, by the truss's own laws, which every checked ``Truss``
+    satisfies.  With the carrier law only, x runs over M's generators.  The
+    truss-side law is skipped for left trusses, where it is no law.
     ``seed`` is ignored.
     """
     t, m = mod.truss.order, mod.order
-    act = mod.action
     report = Report("module laws (truss %d on carrier %d)" % (t, m))
     if m == 0:
         report.note("empty carrier: laws hold vacuously")
         return report
-    carrier = morphism_witness(act, mod.heap, mod.heap)
-    w = associativity_witness(mod.truss.mul, act,
-                              lasts=None if carrier else heap_generators(mod.heap))
+    w, carrier, bracket = _law_witnesses(mod.truss.mul, mod.action, mod.truss.heap,
+                                         mod.heap, mod.truss.sided)
     report.add("module.associative", w is None, w)
     if mod.truss.sided == TWO_SIDED:
-        w = morphism_witness(act.T, mod.truss.heap, mod.heap)
-        report.add("module.truss_bracket", w is None, None if w is None else w[1:] + w[:1])
+        report.add("module.truss_bracket", bracket is None,
+                   None if bracket is None else bracket[1:] + bracket[:1])
     else:
         report.note("truss-side bracket law skipped (left truss)")
     report.add("module.carrier_bracket", carrier is None, carrier)

@@ -64,16 +64,12 @@ class Truss:
 
     def _scan_identity(self):
         idx = np.arange(self.order)
-        hits = np.flatnonzero(
-            (self.mul == idx).all(axis=1) & (self.mul.T == idx).all(axis=1)
-        )
+        hits = np.flatnonzero(((self.mul == idx) & (self.mul.T == idx)).all(axis=1))
         return int(hits[0]) if hits.size else None
 
     def _scan_absorber(self):
-        hits = np.flatnonzero(
-            (self.mul == np.arange(self.order)[:, None]).all(axis=1)
-            & (self.mul.T == np.arange(self.order)[:, None]).all(axis=1)
-        )
+        idx = np.arange(self.order)[:, None]
+        hits = np.flatnonzero(((self.mul == idx) & (self.mul.T == idx)).all(axis=1))
         if hits.size > 1:
             raise ConsistencyError("more than one absorber; tables are inconsistent")
         return int(hits[0]) if hits.size else None
@@ -104,6 +100,25 @@ class Truss:
         )
 
 
+def _law_witnesses(mul, act, theap, mheap, sided):
+    """Witnesses (associative, rows, columns) for the action ``act`` of ``mul``
+    (on ``theap``) on ``mheap``: rows x -> t.x and, two-sided, columns
+    t -> t.x are heap morphisms, and s.(t.x) = (st).x; ``act = mul`` gives
+    the truss laws.  Columns are scanned in full; once they hold, generator
+    rows decide the rows, and once both hold, generator triples decide
+    associativity (for a module: given a lawful two-sided ``mul``).  Every
+    witness is the full scan's (``associativity_witness``).
+    """
+    cols = morphism_witness(act.T, theap, mheap) if sided == TWO_SIDED else None
+    both = sided == TWO_SIDED and cols is None and theap.order
+    sides = heap_generators(theap) if both else None
+    rows = morphism_witness(act, mheap, mheap, at=sides)
+    if rows is not None:
+        return associativity_witness(mul, act), rows, cols
+    lasts = heap_generators(mheap)
+    return associativity_witness(mul, act, firsts=sides, mids=sides, lasts=lasts), rows, cols
+
+
 def truss_law_report(t, seed=None):
     """Associativity and distributivity over the bracket, with witnesses.
 
@@ -111,10 +126,11 @@ def truss_law_report(t, seed=None):
     row x -> ax of ``mul`` is a heap morphism, right distributivity the same
     of each column; ``morphism_witness`` decides both, and a failure is the
     law instance (a, x, e, g): a[x, e, g] != [ax, ae, ag] (mirrored for the
-    right law).  Once left distributivity holds, x -> s(tx) and x -> (st)x
-    are heap morphisms, so associativity needs x only at the basepoint and
-    the retract's generators (``associativity_witness``).  For left trusses
-    the right law is skipped and noted.  ``seed`` is ignored.
+    right law).  Two-sided, the right law is scanned in full (n^2 r); once it
+    holds, the r + 1 generator rows decide the left law, and once both do,
+    the (r + 1)^3 generator triples decide associativity.  With the left law
+    only, x runs over the generators.  For left trusses the right law is
+    skipped and noted.  ``seed`` is ignored.
     """
     n = t.order
     report = Report("truss laws (order %d)" % n)
@@ -122,13 +138,11 @@ def truss_law_report(t, seed=None):
         report.note("empty truss: laws hold vacuously")
         return report
     mul = t.mul
-    left = morphism_witness(mul, t.heap, t.heap)
-    w = associativity_witness(mul, mul, lasts=None if left else heap_generators(t.heap))
-    report.add("truss.associative", w is None, w)
+    assoc, left, right = _law_witnesses(mul, mul, t.heap, t.heap, t.sided)
+    report.add("truss.associative", assoc is None, assoc)
     report.add("truss.left_distributive", left is None, left)
     if t.sided == TWO_SIDED:
-        w = morphism_witness(mul.T, t.heap, t.heap)
-        report.add("truss.right_distributive", w is None, w)
+        report.add("truss.right_distributive", right is None, right)
     else:
         report.note("right distributivity skipped (left truss)")
     idx = np.arange(n)
@@ -146,22 +160,23 @@ def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED):
     is a heap morphism fixing zero, so ring distributivity is the truss
     distributivity of ``morphism_witness`` plus "the ring zero is the
     absorber"; a failure is reported as a ring instance (a, b, c) of
-    a(b + c) != ab + ac (or its mirror).  Associativity as in ``truss_law_report``.
+    a(b + c) != ab + ac (or its mirror).  Right law in full, left law on
+    generator rows and associativity on generator triples, as in
+    ``truss_law_report``.
     """
     if not isinstance(add, AbGroup):
         add = AbGroup(add)
     mul = _square_table(mul, "ring")
     heap = heap_from_group(add)
-    left = morphism_witness(mul, heap, heap)
-    w = associativity_witness(mul, mul, lasts=None if left else heap_generators(heap))
+    w, left, right = _law_witnesses(mul, mul, heap, heap, TWO_SIDED)
     if w is not None:
         raise ValidationError("ring.associative", w)
     zero = add.zero
-    for law, rows in (("ring.left_distributive", mul), ("ring.right_distributive", mul.T)):
+    for law, rows, w in (("ring.left_distributive", mul, left),
+                         ("ring.right_distributive", mul.T, right)):
         moved = np.flatnonzero(rows[:, zero] != zero)
         if moved.size:
             raise ValidationError(law, (moved[0], zero, zero))
-        w = left if rows is mul else morphism_witness(rows, heap, heap)
         if w is not None:
             raise ValidationError(law, (w[0], w[1], w[3]))
     return Truss(heap, mul, sided=sided, labels=labels, check=False)
@@ -381,9 +396,13 @@ def is_brace_type(t):
     return t.identity is not None and len(units(t)) == t.order
 
 
-def _z2_truss():
-    add = AbGroup.cyclic(2)
-    return truss_from_ring(add, [[0, 0], [0, 1]])
+def is_zn_truss(t):
+    """True iff t is isomorphic to T(Z_n), n = t.order.  A truss with
+    absorber z and identity 1 is T(R), R the ring on its z-retract, and
+    R is Z_n iff 1 has additive order n (k -> k.1 is then injective)."""
+    if t.identity is None or t.absorber is None:
+        return False
+    return int(retract(t.heap, t.absorber).element_orders()[t.identity]) == t.order
 
 
 @dataclass
@@ -411,27 +430,13 @@ class UnitsParagonReport:
     quotient_is_mod2: bool
     quotient_char2: bool | None
 
-    def to_dict(self):
-        return {
-            "order": self.order,
-            "units": list(self.units),
-            "is_subheap": self.is_subheap,
-            "subheap_witness": None if self.subheap_witness is None else list(self.subheap_witness),
-            "kind": self.kind,
-            "is_paragon": self.is_paragon,
-            "unit_or_one_minus_unit": self.unit_or_one_minus_unit,
-            "quotient_classes": self.quotient_classes,
-            "quotient_is_mod2": self.quotient_is_mod2,
-            "quotient_char2": self.quotient_char2,
-        }
-
 
 def units_paragon_report(t):
     """Decide whether the units of a unital ring-truss form a paragon.
 
     Computes both sides of the classification independently: the structural
-    side (paragon with a two-class quotient isomorphic to the order-2
-    ring-truss) and the elementwise exactly-one-of-r-and-(1-r)-is-a-unit
+    side (paragon with a two-class quotient isomorphic to T(Z_2), decided
+    by ``is_zn_truss``) and the elementwise exactly-one-of-r-and-(1-r)-is-a-unit
     predicate, then asserts their equivalence.
     """
     if t.identity is None or t.absorber is None:
@@ -450,7 +455,7 @@ def units_paragon_report(t):
     if result.is_paragon:
         quotient, proj = quotient_truss(t, result.paragon)
         classes = quotient.order
-        mod2 = classes == 2 and truss_isomorphism(quotient, _z2_truss()) is not None
+        mod2 = classes == 2 and is_zn_truss(quotient)
         c1, c0 = int(proj[one]), int(proj[zero])
         char2 = quotient.bracket(c1, c0, c1) == c0
 

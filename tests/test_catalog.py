@@ -253,6 +253,54 @@ class TestEndTruss:
             end_truss(AbGroup.cyclic(4).direct_sum(AbGroup.cyclic(4)))
 
 
+class TestTablesMatchElementLoops:
+    """The array-built catalog tables against a loop over element pairs."""
+
+    @pytest.mark.parametrize("q,spec", [(2, "cyclic:2"), (3, "cyclic:2"), (2, "cyclic:3"),
+                                        (2, "cyclic:2*cyclic:2"), (2, "dihedral:6"),
+                                        (4, "cyclic:2"), (2, "quaternion")])
+    def test_group_ring(self, q, spec):
+        base, group = zn_ring(q), group_from_spec(spec)
+        gr = group_ring(base, group)
+        vectors = list(itertools.product(range(q), repeat=group.order))
+        index = {v: i for i, v in enumerate(vectors)}
+        for a, u in enumerate(vectors):
+            for b, v in enumerate(vectors):
+                total = [0] * group.order
+                for i, j in itertools.product(range(group.order), repeat=2):
+                    total[group.mul[i, j]] += u[i] * v[j]
+                assert gr.ring.mul[a, b] == index[tuple(c % q for c in total)]
+                assert gr.ring.add.add[a, b] == index[tuple((x + y) % q for x, y in zip(u, v))]
+        assert list(gr.augmentation) == [sum(u) % q for u in vectors]
+
+    @pytest.mark.parametrize("k,n", [(1, 1), (1, 3), (2, 2), (3, 2), (1, 5), (2, 3)])
+    def test_trunc_poly(self, k, n):
+        q = 2 ** k
+        tp = trunc_poly_truss(k, n)
+        vectors = list(itertools.product(range(q), repeat=n))
+        assert [tuple(c) for c in tp.coeffs.tolist()] == vectors
+        for a, u in enumerate(vectors):
+            for b, v in enumerate(vectors):
+                prod = [sum(u[i] * v[d - i] for i in range(d + 1)) % q for d in range(n)]
+                assert tp.ring.mul[a, b] == tp.index_of(prod)
+                assert tp.ring.add.add[a, b] == tp.index_of([x + y for x, y in zip(u, v)])
+
+    @pytest.mark.parametrize("orders", [(1,), (2,), (3,), (4,), (6,), (2, 2), (2, 4)])
+    def test_end_truss(self, orders):
+        g = AbGroup.cyclic(orders[0])
+        for n in orders[1:]:
+            g = g.direct_sum(AbGroup.cyclic(n))
+        ext = end_truss(g)
+        maps = [tuple(int(v) for v in f) for f in endomorphism_maps(g)]
+        key = {f: i for i, f in enumerate(maps)}
+        for i, f in enumerate(maps):
+            for j, h in enumerate(maps):
+                assert ext.base.mul[i, j] == key[tuple(f[x] for x in h)]
+                assert ext.base.heap.retract.add[i, j] == key[tuple(int(g.add[x, y])
+                                                                    for x, y in zip(f, h))]
+        assert ext.module.action.tolist() == [list(f) for f in maps]
+
+
 class TestIntegerProbe:
     def test_odd_integers(self):
         rep = integer_paragon_probe(2, 1)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trusskit import jsonio, regular_module, za_truss, zn_truss
+from trusskit import cli
 from trusskit.cli import main
 
 
@@ -380,3 +381,21 @@ class TestErrorBoundary:
     def test_catalog_parameter_count(self, argv, message):
         code, err = _run_main(argv)
         assert code == 2 and message in err
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built, real = [], cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        outs = [run_cli(["scan-units", "--max", "4"], capsys) for _ in range(3)]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0
+    assert real() is not real()  # build_parser itself still returns a fresh parser

@@ -347,3 +347,36 @@ class TestRelabelledQuotient:
         monkeypatch.setattr(extensions, "quotient_truss", _relabelled(trusses.quotient_truss))
         _, report = extension_clause_report(zn_truss(4), regular_module(zn_truss(4)), 0)
         assert [c.name for c in report.failures()] == ["fiber_paragons_and_quotients"]
+
+
+def test_clause_report_builds_one_fiber_quotient(monkeypatch):
+    # every fiber shares the sub-heap relation {t} x M: one quotient serves
+    # them all, and each fiber's relation is computed once for both clauses
+    calls = {"quotient": 0, "relation": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(extensions, "quotient_truss", counted("quotient", trusses.quotient_truss))
+    monkeypatch.setattr(extensions, "subheap_relation_classes",
+                        counted("relation", heaps.subheap_relation_classes))
+    base = za_truss(2, 8)
+    _, report = extension_clause_report(base, regular_module(base), 3)
+    assert report.ok
+    assert calls == {"quotient": 1, "relation": base.order}
+
+
+def test_clause_report_catches_a_fiber_with_another_relation(monkeypatch):
+    relation = heaps.subheap_relation_classes
+
+    def shuffled(h, s):  # the fiber at 1 reports its classes in another order
+        classes = relation(h, s)
+        return classes[::-1] if 4 in s else classes
+
+    monkeypatch.setattr(extensions, "subheap_relation_classes", shuffled)
+    _, report = extension_clause_report(zn_truss(4), regular_module(zn_truss(4)), 0)
+    assert [c.name for c in report.failures()] == ["fiber_paragons_and_quotients",
+                                                   "split_sequences"]

@@ -55,9 +55,11 @@ from trusskit import (
     zn_ring,
     zn_truss,
 )
+from trusskit import trusses
 from trusskit.catalog import left_translation_truss
-from trusskit.heaps import induced_table, morphism_witness, retract
-from trusskit.lawcheck import Report
+from trusskit.groups import abelian_coordinates
+from trusskit.heaps import heap_generators, induced_table, morphism_witness, retract
+from trusskit.lawcheck import Report, associativity_witness
 from trusskit.trusses import ParagonReport
 
 ORACLE = settings(max_examples=150, deadline=None)
@@ -422,6 +424,254 @@ class TestReducedAssociativity:
         gens = g.generators()
         assert len(gens) <= math.floor(math.log2(g.order))
         assert set(g.closure(gens)) == set(range(g.order))
+
+
+# ------------------------------- two-sided: generator rows and generator triples
+# Once the columns are heap morphisms, the generator rows decide the rows, and
+# once both are, the generator triples decide associativity.  Bi-affine tables
+# reach that path with a non-associative product; every verdict and witness
+# must still be the full scan's.
+
+def _coordinates(g):
+    """(coords, dims, radix, index): coords[x] is x's row in an abelian basis
+    of g, of orders dims, and index[row @ radix] the element with that row."""
+    basis, coords = abelian_coordinates(FiniteGroup.from_abgroup(g))
+    dims = np.array([d for _, d in basis], dtype=np.int64)
+    radix = np.cumprod(np.concatenate(([1], dims)))[:-1].astype(np.int64)
+    index = np.empty(g.order, dtype=np.int64)
+    index[coords @ radix] = np.arange(g.order)
+    return coords, dims, radix, index
+
+
+def _killed_by(data, k, dims):
+    """A drawn element (as a coordinate row) v with k v = 0; k = 0: any element."""
+    u = np.array([data.draw(st.integers(0, d - 1)) for d in dims], dtype=np.int64)
+    return u * (dims // np.gcd(k, dims)) % dims
+
+
+def _bi_affine(data, left, right, out, form="affine"):
+    """mul[x, y] = B(x, y) + L(x) + R(y) + c in ``out``, for x in ``left`` and
+    y in ``right`` (AbGroups), with B bilinear, L and R additive and c drawn.
+
+    Every row and every column is affine, so the table distributes on both
+    sides; it is usually not associative.  ``form`` "bilinear" drops L, R and
+    c (a ring product); "circle" (left = right = out) takes L = R = identity
+    and c = 0, so x.y = x + y + B(x, y) has the zero as identity (a brace
+    product when it is a group).  For "affine" a drawn twist (``_twist``)
+    breaks some rows and keeps every column affine, or the mirror.
+    """
+    cl, dl, _, _ = _coordinates(left)
+    cr, dr, _, _ = _coordinates(right)
+    co, do, radix, index = _coordinates(out)
+    beta = np.array([_killed_by(data, math.gcd(int(a), int(b)), do)
+                     for a in dl for b in dr], dtype=np.int64).reshape(len(dl), len(dr), len(do))
+    value = np.einsum("xi,yj,ijl->xyl", cl, cr, beta)
+    if form == "circle":
+        value += co[:, None, :] + co[None, :, :]
+    elif form == "affine":
+        lam = np.array([_killed_by(data, int(a), do) for a in dl],
+                       dtype=np.int64).reshape(len(dl), len(do))
+        rho = np.array([_killed_by(data, int(b), do) for b in dr],
+                       dtype=np.int64).reshape(len(dr), len(do))
+        value += (cl @ lam)[:, None, :] + (cr @ rho)[None, :, :] + _killed_by(data, 0, do)
+        twist = data.draw(st.sampled_from([None, "rows", "cols"]))
+        if twist == "rows":
+            value += _twist(data, cl, dl, right.order, do)
+        elif twist == "cols":
+            value += np.moveaxis(_twist(data, cr, dr, left.order, do), 0, 1)
+    return index[(value % do) @ radix]
+
+
+def _twist(data, coords, dims, size, out_dims):
+    """[u, v]: N_0(v) + sum_i u_i N_i(v), u_i the coordinates of u, for
+    arbitrary maps N_i into the elements killed by dims[i].  Every map of u
+    stays affine; the map of v is arbitrary for some u and not for others."""
+    def noise(k):
+        return np.array([_killed_by(data, k, out_dims) for _ in range(size)],
+                        dtype=np.int64).reshape(size, len(out_dims))
+    value = np.broadcast_to(noise(0), (len(coords), size, len(out_dims))).copy()
+    for i, d in enumerate(dims):
+        value += coords[:, i, None, None] * noise(int(d))[None, :, :]
+    return value
+
+
+def _affine_group(data):
+    """Z_n re-anchored at a drawn zero, C2 x C2 or C2 x C4."""
+    if data.draw(st.booleans()):
+        return _cyclic_group(data)
+    return data.draw(st.sampled_from([GROUPS[12], GROUPS[13]]))
+
+
+def _morphism_oracle(rows, dom, cod):
+    """The witness of the full ``morphism_witness`` scan, read off the brute
+    force table: the first failing (i, x, e, g), g over the generators."""
+    failing = _distributive_oracle(rows, dom, cod)
+    e, gens = dom.basepoint, dom.retract.generators
+    w = _first(failing[:, :, e][:, :, gens])
+    assert (w is None) == (not failing.any())
+    return None if w is None else (w[0], w[1], e, int(gens[w[2]]))
+
+
+def _expect(report, expected):
+    for name, w in expected.items():
+        check = _check(report, name)
+        assert (check.passed, check.witness) == (w is None, w), name
+
+
+class TestTwoSidedReduction:
+    @ORACLE
+    @given(st.data())
+    def test_truss(self, data):
+        if data.draw(st.booleans()):
+            g = _affine_group(data)
+            heap, sided = heap_from_group(g), data.draw(st.sampled_from(["two-sided", "left"]))
+            form = data.draw(st.sampled_from(["affine", "bilinear"]))
+            mul = _bi_affine(data, g, g, g, form)
+            if data.draw(st.booleans()):
+                mul = _corrupt(data, mul, g.order)
+        else:
+            t = data.draw(st.sampled_from(_trusses()))
+            heap, mul, sided = t.heap, _corrupt(data, t.mul, t.order), t.sided
+        report = truss_law_report(Truss(heap, mul, sided=sided, check=False))
+        expected = {"truss.associative": _first(_assoc_oracle(mul, mul)),
+                    "truss.left_distributive": _morphism_oracle(mul, heap, heap)}
+        if sided == "two-sided":
+            expected["truss.right_distributive"] = _morphism_oracle(mul.T, heap, heap)
+        _expect(report, expected)
+
+    @ORACLE
+    @given(st.data())
+    def test_ring(self, data):
+        if data.draw(st.booleans()):
+            add = _affine_group(data)
+            form = data.draw(st.sampled_from(["bilinear", "bilinear", "affine"]))
+            mul = _bi_affine(data, add, add, add, form)
+            if data.draw(st.booleans()):
+                mul = _corrupt(data, mul, add.order)
+        else:
+            add, mul = data.draw(st.sampled_from(_rings()))
+            mul = _corrupt(data, mul, add.order)
+        heap, zero = heap_from_group(add), add.zero
+        expected = None
+        w = _first(_assoc_oracle(mul, mul))
+        if w is not None:
+            expected = ("ring.associative", w)
+        for law, rows in (("ring.left_distributive", mul), ("ring.right_distributive", mul.T)):
+            moved = np.flatnonzero(rows[:, zero] != zero)
+            w = _morphism_oracle(rows, heap, heap)
+            if expected is None and moved.size:
+                expected = (law, (moved[0], zero, zero))
+            elif expected is None and w is not None:
+                expected = (law, (w[0], w[1], w[3]))
+        try:
+            t = truss_from_ring(add, mul)
+        except ValidationError as err:
+            assert (err.law, err.witness) == expected
+        else:
+            assert expected is None
+            assert t.absorber == zero
+
+    @ORACLE
+    @given(st.data())
+    def test_module(self, data):
+        if data.draw(st.booleans()):
+            t = data.draw(st.sampled_from([t for t in _trusses() if t.sided == "two-sided"]))
+            g = _affine_group(data)
+            form = data.draw(st.sampled_from(["affine", "bilinear"]))
+            heap, act = heap_from_group(g), _bi_affine(data, t.heap.retract, g, g, form)
+        else:
+            mod = data.draw(st.sampled_from(_modules()))
+            t, heap, act = mod.truss, mod.heap, mod.action
+        if data.draw(st.booleans()):
+            act = _corrupt(data, act, heap.order)
+        report = module_law_report(TModule(t, heap, act, check=False))
+        expected = {"module.associative": _first(_assoc_oracle(t.mul, act)),
+                    "module.carrier_bracket": _morphism_oracle(act, heap, heap)}
+        if t.sided == "two-sided":
+            w = _morphism_oracle(act.T, t.heap, heap)
+            expected["module.truss_bracket"] = None if w is None else w[1:] + w[:1]
+        _expect(report, expected)
+
+    @ORACLE
+    @given(st.data())
+    def test_brace(self, data):
+        if data.draw(st.booleans()):
+            add = _affine_group(data)
+            mul = _bi_affine(data, add, add, add, "circle")
+        else:
+            b = data.draw(st.sampled_from(_braces()))
+            add, mul = b.add, b.mul.mul.copy()
+        if data.draw(st.booleans()):
+            mul = _corrupt(data, mul, add.order)
+        mul[add.zero, :] = mul[:, add.zero] = np.arange(add.order)
+        try:
+            group = FiniteGroup(mul, check=False)
+        except ValidationError:  # not a loop with inverses
+            return
+        sided = data.draw(st.sampled_from(["two-sided", "left"]))
+        report = brace_law_report(Brace(add, group, sided=sided, check=False))
+        heap = heap_from_group(add)
+        sides = [("left", mul)] + ([("right", mul.T)] if sided == "two-sided" else [])
+        expected = {}
+        for side, rows in sides:
+            w = _morphism_oracle(rows, heap, heap)
+            expected["brace.%s_law" % side] = None if w is None else (w[0], w[1], w[3])
+        _expect(report, expected)
+
+    @pytest.mark.parametrize("g", [retract(heap_from_group(AbGroup.cyclic(5)), 2),
+                                   retract(heap_from_group(AbGroup.cyclic(12)), 5),
+                                   GROUPS[13]], ids=["Z5@2", "Z12@5", "C2xC4"])
+    def test_rows_failing_off_the_generators(self, g):
+        # x.y = sum_i x_i N_i(y) (N_i arbitrary into the x_i-torsion): every
+        # column is additive and a row fails where the x_i switch an N_i on
+        coords, dims, radix, index = _coordinates(g)
+        heap, rng, off = heap_from_group(g), np.random.default_rng(0), 0
+        for _ in range(25):
+            value = np.zeros((g.order, g.order, len(dims)), dtype=np.int64)
+            for i, d in enumerate(dims):
+                if rng.integers(2):
+                    noise = rng.integers(0, dims, size=(g.order, len(dims)))
+                    value += coords[:, i, None, None] * (noise * (dims // np.gcd(d, dims)))
+            mul = index[(value % dims) @ radix]
+            left = _morphism_oracle(mul, heap, heap)
+            report = truss_law_report(Truss(heap, mul, check=False))
+            _expect(report, {"truss.associative": _first(_assoc_oracle(mul, mul)),
+                             "truss.left_distributive": left,
+                             "truss.right_distributive": _morphism_oracle(mul.T, heap, heap)})
+            # the first failing row is not the rank of the first failing generator row
+            off += left is not None and left[0] != morphism_witness(
+                mul[heap_generators(heap)], heap, heap)[0]
+        assert off
+
+    def test_generator_triples_need_both_laws(self):
+        # x.y = f(x) + y on Z_4, f = (0, 0, 2, 0): rows are translations, columns
+        # are not affine, and s(tx) = (st)x holds for s, t in {0, 1} only
+        f, idx = np.array([0, 0, 2, 0]), np.arange(4)
+        mul = (f[:, None] + idx[None, :]) % 4
+        report = truss_law_report(Truss(heap_from_group(AbGroup.cyclic(4)), mul, check=False))
+        assert associativity_witness(mul, mul, firsts=[0, 1], mids=[0, 1], lasts=[0, 1]) is None
+        assert _check(report, "truss.associative").witness == _first(_assoc_oracle(mul, mul))
+        assert not _check(report, "truss.right_distributive").passed
+
+    def test_bi_affine_table_reaches_the_generator_triples(self, monkeypatch):
+        # x.y = 2xy + x on Z_4 distributes on both sides; (st)x - s(tx) = 2sx,
+        # so the first failing triple is (1, 0, 1): the generator triples fail
+        # and the full rescan inside associativity_witness finds it
+        calls = []
+
+        def recorded(mul, act, **kwargs):
+            calls.append(sorted(k for k, v in kwargs.items() if v is not None))
+            return associativity_witness(mul, act, **kwargs)
+
+        monkeypatch.setattr(trusses, "associativity_witness", recorded)
+        idx = np.arange(4)
+        mul = (2 * idx[:, None] * idx[None, :] + idx[:, None]) % 4
+        report = truss_law_report(Truss(heap_from_group(AbGroup.cyclic(4)), mul, check=False))
+        assert [(c.name, c.passed, c.witness) for c in report.checks[:3]] == [
+            ("truss.associative", False, (1, 0, 1)),
+            ("truss.left_distributive", True, None),
+            ("truss.right_distributive", True, None)]
+        assert calls == [["firsts", "lasts", "mids"]]
 
 
 # ------------------------------------------- sub-heaps: |S|^2 vs the |S|^3 scan

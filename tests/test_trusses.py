@@ -18,6 +18,7 @@ from trusskit import (
     is_normal_paragon,
     is_paragon,
     is_ring_type,
+    is_zn_truss,
     lambda_q,
     odd_multiple_check,
     opposite_truss,
@@ -245,6 +246,35 @@ class TestNormalParagon:
         grown = sorted(grown)
         if is_paragon(t, grown).paragon is not None:
             assert is_normal_paragon(t, grown) == _setwise_normal(t, grown)
+
+
+class TestZnMatch:
+    """``is_zn_truss`` (the additive order of 1 in the absorber retract)
+    against the isomorphism search it replaced, on every quotient by a
+    paragon through the basepoint or a shifted one."""
+
+    @pytest.mark.parametrize("build", [
+        *(functools.partial(zn_truss, n) for n in (1, 2, 4, 6, 8, 9, 12, 16)),
+        functools.partial(za_truss, 2, 8), functools.partial(za_truss, 3, 9),
+        lambda: trunc_poly_truss(1, 3).truss, lambda: trunc_poly_truss(2, 2).truss,
+        lambda: group_ring(zn_ring(2), cyclic_group(2)).ring.truss(),
+        lambda: group_ring(zn_ring(3), cyclic_group(2)).ring.truss(),
+        lambda: end_truss(AbGroup.cyclic(2)).truss,
+    ], ids=["z1", "z2", "z4", "z6", "z8", "z9", "z12", "z16", "za2_8", "za3_9",
+            "poly1_3", "poly2_2", "z2c2", "z3c2", "end2"])
+    def test_matches_isomorphism_search(self, build):
+        t = build()
+        quotients = [t] + [quotient_truss(t, p)[0] for p in paragons(t)]
+        if t.identity is not None:
+            quotients += [quotient_truss(t, [t.bracket(x, t.heap.basepoint, t.identity)
+                                             for x in p])[0] for p in paragons(t)]
+        for q in quotients:
+            assert is_zn_truss(q) == (truss_isomorphism(q, zn_truss(q.order)) is not None)
+
+    def test_needs_identity_and_absorber(self):
+        assert not is_zn_truss(za_truss(2, 4))  # unital, no absorber
+        assert not is_zn_truss(Truss(heap_from_group(AbGroup.cyclic(3)), np.zeros((3, 3), int)))
+        assert is_zn_truss(zn_truss(7)) and not is_zn_truss(trunc_poly_truss(1, 2).truss)
 
 
 class TestQuotients:
