@@ -10,14 +10,17 @@ module builds that truss, the canonical structure around it -- the change of
 anchor isomorphisms, the module structure of M over the extension, the fiber
 paragons {a} x M with quotient T, the base copy T x {e} with quotient M, the
 split sequence, and the unit group law U(T x M) = U(T) x M -- and verifies
-each piece at construction time.
+each piece at construction time.  The clause suite checks each family in one
+array pass, all m anchors or all n fibers at once, and reports the error a
+loop over the family would raise first; ``anchor_iso``, ``fiber_paragon`` and
+``split_sequence_check`` are that code at one anchor or fiber.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .heaps import induced_table, morphism_witness, product_heap, subheap_relation_classes
+from .heaps import induced_table, morphism_witness, product_heap
 from .lawcheck import (
     ConsistencyError,
     Report,
@@ -26,11 +29,12 @@ from .lawcheck import (
 from .modules import TModule, product_module, quotient_module, regular_module
 from .trusses import (
     LEFT,
+    Paragon,
     Truss,
+    _paragon_kind,
     inverse_in,
     is_paragon,
     quotient_truss,
-    truss_isomorphism,
     units,
 )
 
@@ -64,17 +68,16 @@ class ExtTruss:
 
 
 def _ext_mul(base, module, e):
-    """mul[(t,x),(t',x')] = (t t', [x, t.e, t.x']) on pairs t*m + x."""
-    if not 0 <= e < module.order:
+    """mul[(t,x),(t',x')] = (t t', [x, t.e, t.x']) on pairs t*m + x; an array
+    of anchors gives one table per anchor, stacked."""
+    e = np.asarray(e)
+    if ((e < 0) | (e >= module.order)).any():
         raise ValueError("anchor out of range")
     n, m = base.order, module.order
     act = module.action
-    second = module.heap.bracket_arrays(
-        np.arange(m)[None, :, None, None],
-        act[:, e][:, None, None, None],
-        act[:, None, None, :],
-    )
-    return (base.mul[:, None, :, None] * m + second).reshape(n * m, n * m)
+    second = module.heap.bracket_arrays(np.arange(m)[:, None, None],
+                                        act.T[e][..., None, None, None], act[:, None, None, :])
+    return (base.mul[:, None, :, None] * m + second).reshape(e.shape + (n * m, n * m))
 
 
 def extend(base, module, e):
@@ -105,27 +108,51 @@ def as_extension(truss, base, module, e):
     return ExtTruss(base, module, int(e), truss) if same else None
 
 
-def anchor_iso(ext, e2):
-    """(ext2, phi): the isomorphism (t, x) -> (t, [x, e, e2]) onto the e2-anchored extension.
+def _first(fails):
+    """The position of the first True in a boolean array, or None."""
+    hits = np.flatnonzero(fails)
+    return int(hits[0]) if hits.size else None
 
-    Verified bijective, bracket-preserving and multiplicative in full.  The
-    e2-anchored table is built without a law scan: phi is an isomorphism
-    from the validated extension, so it carries every law over.
+
+def _raise_first(failures):
+    """Raise the error a loop over a family would raise first, given (first
+    failing member or None, message) per check in the loop body's order."""
+    hits = [(pos, i) for i, (pos, _) in enumerate(failures) if pos is not None]
+    if hits:
+        raise ConsistencyError(failures[min(hits)[1]][1])
+
+
+def _anchor_isos(ext, anchors):
+    """(tables, phis): the extension tables at the anchors e2, stacked, and the
+    maps phi (t, x) -> (t, [x, e, e2]) onto them as rows, each verified
+    bijective (one sort), multiplicative (one grid) and bracket-preserving
+    (one ``morphism_witness`` over all rows) in full."""
+    n, m, k = ext.base.order, ext.m, len(anchors)
+    anchors = np.asarray(anchors)
+    tables = _ext_mul(ext.base, ext.module, anchors)
+    shift = ext.module.heap.bracket_arrays(np.arange(m), ext.anchor, anchors[:, None])
+    phis = (np.arange(n)[:, None] * m + shift[:, None, :]).reshape(k, n * m)
+    mul = grid_witness(phis[:, ext.truss.mul],
+                       tables[np.arange(k)[:, None, None], phis[:, :, None], phis[:, None, :]])
+    hom = morphism_witness(phis, ext.truss.heap, ext.truss.heap)
+    _raise_first([
+        (_first((np.sort(phis, axis=1) != np.arange(n * m)).any(axis=1)),
+         "anchor change is not a bijection"),
+        (None if mul is None else mul[0], "anchor change is not multiplicative"),
+        (None if hom is None else hom[0], "anchor change is not a heap morphism"),
+    ])
+    return tables, phis
+
+
+def anchor_iso(ext, e2):
+    """(ext2, phi): the isomorphism (t, x) -> (t, [x, e, e2]) onto the e2-anchored extension,
+    verified by ``_anchor_isos``.  The e2-anchored table gets no law scan:
+    phi is an isomorphism from the validated extension, so it carries every law over.
     """
+    tables, phis = _anchor_isos(ext, [e2])
     t1 = ext.truss
-    t2 = Truss(t1.heap, _ext_mul(ext.base, ext.module, e2), sided=t1.sided,
-               labels=t1.labels, check=False)
-    ext2 = ExtTruss(ext.base, ext.module, int(e2), t2)
-    n, m = ext.base.order, ext.m
-    shift = ext.module.heap.bracket_arrays(np.arange(m), ext.anchor, e2)
-    phi = (np.arange(n)[:, None] * m + shift[None, :]).reshape(-1)
-    if sorted(int(v) for v in phi) != list(range(n * m)):
-        raise ConsistencyError("anchor change is not a bijection")
-    if grid_witness(phi[t1.mul], t2.mul[phi[:, None], phi[None, :]]) is not None:
-        raise ConsistencyError("anchor change is not multiplicative")
-    if morphism_witness(phi, t1.heap, t2.heap) is not None:
-        raise ConsistencyError("anchor change is not a heap morphism")
-    return ext2, phi
+    t2 = Truss(t1.heap, tables[0], sided=t1.sided, labels=t1.labels, check=False)
+    return ExtTruss(ext.base, ext.module, int(e2), t2), phis[0]
 
 
 def ext_action(ext, pair, x):
@@ -152,36 +179,47 @@ def module_over_extension(ext):
     mod = TModule(ext.truss, ext.module.heap, table, labels=ext.module.labels)
     if grid_witness(table[:, ext.anchor].reshape(n, m), np.arange(m)[None, :]) is not None:
         raise ConsistencyError("(t, x).e = x failed")
-    # induced actions at every anchor agree with the base module's
-    for e2 in range(m):
-        ext_ind = br(table, table[:, e2][:, None], e2)
-        base_ind = br(act, act[:, e2][:, None], e2)
-        if grid_witness(ext_ind.reshape(n, m, m), base_ind[:, None, :]) is not None:
-            raise ConsistencyError("induced actions of the extension do not collapse to the base")
+    # [e2, p, x]: the induced actions at every anchor e2 agree with the base module's
+    e2 = np.arange(m)[:, None, None]
+    ext_ind = br(table[None], table.T[:, :, None], e2)
+    base_ind = br(act[None], act.T[:, :, None], e2)
+    if grid_witness(ext_ind.reshape(m, n, m, m), base_ind[:, :, None, :]) is not None:
+        raise ConsistencyError("induced actions of the extension do not collapse to the base")
     return mod
 
 
-def fiber_paragon(ext, a, build_quotient=True):
-    """The fiber {a} x M as a verified paragon, with quotient isomorphic to the base.
+def _fiber_kinds(ext, fibers):
+    """(kinds, failures) of the fibers {a} x M, a in ``fibers``: ``is_paragon``'s
+    kinds, from one (k, nm, m) array per law (sub-heap, lambda and rho
+    closure at q = a m, ideal), where v lies in fiber a iff v // m = a; and
+    the checks ``fiber_paragon`` makes of them, for ``_raise_first``."""
+    m, t = ext.m, ext.truss
+    a = np.asarray(fibers)[:, None, None]
+    q, idx, fiber = a * m, np.arange(ext.order)[:, None], a * m + np.arange(m)
+    left, right = t.mul[idx, fiber], t.mul[fiber.transpose(0, 2, 1), idx.T]
 
-    Returns (paragon, quotient, projection, iso) where iso maps each class
-    to the base element all its members share (``induced_table``).  The
-    fiber is an ideal exactly when a is an absorber of the base.  With
-    ``build_quotient=False`` only the classification runs.
-    """
-    n, m = ext.base.order, ext.m
-    result = is_paragon(ext.truss, a * m + np.arange(m))
+    def inside(v):
+        return (v // m == a).all(axis=(1, 2))
+
+    laws = (inside(t.bracket_arrays(q, fiber.transpose(0, 2, 1), fiber)),
+            inside(t.bracket_arrays(left, t.mul[idx, q], q)),
+            inside(t.bracket_arrays(right, t.mul[q, idx.T], q)), inside(left) & inside(right))
+    kinds = [_paragon_kind(t.sided, *ok) if sub else "none" for sub, *ok in zip(*laws)]
     if ext.base.sided == LEFT:
-        if result.kind != "left":
-            raise ConsistencyError("fiber {a} x M is not a left paragon: %s" % result.kind)
-        return result.paragon, None, None, None
-    if result.kind not in ("two-sided", "ideal"):
-        raise ConsistencyError("fiber {a} x M failed to classify as a paragon: %s" % result.kind)
-    if (result.kind == "ideal") != (ext.base.absorber == a):
-        raise ConsistencyError("fiber ideal test disagrees with base absorber test")
-    if not build_quotient:
-        return result.paragon, None, None, None
-    quotient, proj = quotient_truss(ext.truss, result.paragon)
+        bad = _first([kind != "left" for kind in kinds])
+        return kinds, [(bad, "fiber {a} x M is not a left paragon: %s" % kinds[bad or 0])]
+    bad = _first([kind not in ("two-sided", "ideal") for kind in kinds])
+    return kinds, [
+        (bad, "fiber {a} x M failed to classify as a paragon: %s" % kinds[bad or 0]),
+        (_first((np.array(kinds) == "ideal") != (a.ravel() == ext.base.absorber)),
+         "fiber ideal test disagrees with base absorber test")]
+
+
+def _fiber_quotient(ext, paragon):
+    """(quotient, projection, iso) of the extension by a fiber paragon, iso
+    sending each class to the base element its members share (``induced_table``)."""
+    n, m = ext.base.order, ext.m
+    quotient, proj = quotient_truss(ext.truss, paragon)
     if quotient.order != n:
         raise ConsistencyError("fiber quotient has the wrong order")
     iso, w = induced_table(proj, np.arange(n * m) // m)
@@ -191,15 +229,31 @@ def fiber_paragon(ext, a, build_quotient=True):
         raise ConsistencyError("fiber quotient is not isomorphic to the base")
     if morphism_witness(iso, quotient.heap, ext.base.heap) is not None:
         raise ConsistencyError("fiber quotient bracket differs from the base bracket")
-    return result.paragon, quotient, proj, iso
+    return quotient, proj, iso
 
 
-def base_subtruss(ext):
+def fiber_paragon(ext, a):
+    """The fiber {a} x M as a verified paragon (``_fiber_kinds`` at one fiber),
+    with quotient isomorphic to the base over a two-sided base.
+
+    Returns (paragon, quotient, projection, iso) (``_fiber_quotient``).  The
+    fiber is an ideal exactly when a is an absorber of the base.
+    """
+    kinds, failures = _fiber_kinds(ext, [a])
+    _raise_first(failures)
+    paragon = Paragon(ext.truss, a * ext.m + np.arange(ext.m), kinds[0])
+    if ext.base.sided == LEFT:
+        return paragon, None, None, None
+    return (paragon,) + _fiber_quotient(ext, paragon)
+
+
+def base_subtruss(ext, ext_mod=None):
     """T x {e}: a sub-truss and left paragon whose module quotient returns M.
 
     Returns (paragon, quotient_module, projection, iso) with iso sending each
     class to the module element its members share (``induced_table``); iso
-    is checked to be a module isomorphism onto M with the extension action.
+    is checked to be a module isomorphism onto M with the extension action,
+    ``ext_mod`` (``module_over_extension``, built here unless passed).
     """
     n, m = ext.base.order, ext.m
     members = np.arange(n) * m + ext.anchor
@@ -220,48 +274,58 @@ def base_subtruss(ext):
     if morphism_witness(iso, qmod.heap, ext.module.heap) is not None:
         raise ConsistencyError("quotient-by-base is not heap-isomorphic to M")
     # equivariance against the extension action on M
-    ext_mod = module_over_extension(ext)
+    ext_mod = module_over_extension(ext) if ext_mod is None else ext_mod
     if grid_witness(iso[qmod.action], ext_mod.action[:, iso]) is not None:
         raise ConsistencyError("quotient-by-base is not module-isomorphic to M")
     return result.paragon, qmod, proj, iso
 
 
-def split_sequence_check(ext, a, relation=None):
-    """The split sequence M >--> T[M;e] -->> T with section t -> (t, e).
+def _fiber_relations(ext, fibers):
+    """Layer i, row x: the class of x under the sub-heap relation of the fiber
+    {a} x M, a = fibers[i], i.e. the coset {[x, am, am + y] : y in M}, sorted."""
+    a = np.asarray(fibers)[:, None, None] * ext.m
+    rows = ext.truss.bracket_arrays(np.arange(ext.order)[:, None], a, a + np.arange(ext.m))
+    return np.sort(rows, axis=2)
 
-    Checks each arrow's defining property and that the kernel relation of the
-    projection, the blocks {t} x M, is the sub-heap relation of the fiber at a
-    (computed unless passed as ``relation``).
-    """
-    n, m = ext.base.order, ext.m
+
+def _split_failures(ext, fibers):
+    """(check, position of its first failing fiber or None) for the split
+    sequence at each of ``fibers``, in report order.  The section and the
+    projection do not depend on the fiber and are checked once; the
+    embeddings are one ``morphism_witness``, the kernel relation, whose
+    class of x is its block {x // m} x M, one comparison."""
+    n, m, t = ext.base.order, ext.m, ext.truss
+    emb = np.asarray(fibers)[:, None] * m + np.arange(m)
+    hom = morphism_witness(emb, ext.module.heap, t.heap)
+    blocks = (np.arange(n * m) // m * m)[:, None] + np.arange(m)
+    emb, idx_n = np.sort(emb, axis=1), np.arange(n)
+    sec, pi = idx_n * m + ext.anchor, np.arange(n * m) // m
+    once = {
+        "section_multiplicative":
+            grid_witness(t.mul[sec[:, None], sec[None, :]], sec[ext.base.mul]) is None,
+        "section_heap_morphism": morphism_witness(sec, ext.base.heap, t.heap) is None,
+        "section_injective": len(set(sec.tolist())) == n,
+        "projection_multiplicative":
+            grid_witness(pi[t.mul], ext.base.mul[pi[:, None], pi[None, :]]) is None,
+        "projection_heap_morphism": morphism_witness(pi, t.heap, ext.base.heap) is None,
+        "projection_surjective": len(set(pi.tolist())) == n,
+        "projection_section_is_identity": bool((pi[sec] == idx_n).all()),
+    }
+    return ([("fiber_embedding_is_heap_morphism", None if hom is None else hom[0]),
+             ("fiber_embedding_injective", _first((emb[:, 1:] == emb[:, :-1]).any(axis=1)))]
+            + [(name, None if ok else 0) for name, ok in once.items()]
+            + [("kernel_matches_fiber_relation",
+                _first((_fiber_relations(ext, fibers) != blocks).any(axis=(1, 2))))])
+
+
+def split_sequence_check(ext, a):
+    """The split sequence M >--> T[M;e] -->> T with section t -> (t, e) at
+    the fiber a: each arrow's defining property, and the kernel relation of
+    the projection, the blocks {t} x M, as the sub-heap relation of the
+    fiber (``_split_failures`` at one fiber)."""
     report = Report("split sequence at fiber %d" % a)
-    emb = a * m + np.arange(m)
-    report.add("fiber_embedding_is_heap_morphism",
-               morphism_witness(emb, ext.module.heap, ext.truss.heap) is None)
-    report.add("fiber_embedding_injective", len(set(emb.tolist())) == m)
-
-    idx_n = np.arange(n)
-    sec = idx_n * m + ext.anchor
-    report.add(
-        "section_multiplicative",
-        grid_witness(ext.truss.mul[sec[:, None], sec[None, :]], sec[ext.base.mul]) is None,
-    )
-    report.add("section_heap_morphism",
-               morphism_witness(sec, ext.base.heap, ext.truss.heap) is None)
-    report.add("section_injective", len(set(sec.tolist())) == n)
-
-    pi = np.arange(n * m) // m
-    report.add(
-        "projection_multiplicative",
-        grid_witness(pi[ext.truss.mul], ext.base.mul[pi[:, None], pi[None, :]]) is None,
-    )
-    report.add("projection_heap_morphism",
-               morphism_witness(pi, ext.truss.heap, ext.base.heap) is None)
-    report.add("projection_surjective", len(set(pi.tolist())) == n)
-    report.add("projection_section_is_identity", bool((pi[sec] == idx_n).all()))
-    kernel = np.arange(n * m).reshape(n, m)  # classes of pi by smallest member
-    relation = subheap_relation_classes(ext.truss.heap, emb) if relation is None else relation
-    report.add("kernel_matches_fiber_relation", np.array_equal(kernel, relation))
+    for name, bad in _split_failures(ext, [a]):
+        report.add(name, bad is None)
     return report
 
 
@@ -307,35 +371,46 @@ def ext_units(ext):
 
 def extension_clause_report(base, module, e):
     """Run the whole clause suite for one (base, module, anchor) instance.
-    Every fiber {a} x M has the sub-heap relation {t} x M (computed once per
-    fiber, checked in both fiber clauses), so one fiber quotient serves all."""
+
+    Each clause checks its family in one array pass: the m anchor changes,
+    the n fibers {a} x M with one shared quotient, and the split sequence at
+    every fiber, whose relation must be the kernel block {t} x M (one
+    computation for both fiber clauses).  A failing clause keeps its error
+    as a note; ``split_sequences`` names its first failing fiber (the
+    witness) and sub-check.
+    """
     ext = extend(base, module, e)
     n, m = base.order, ext.m
-    relations = [subheap_relation_classes(ext.truss.heap, a * m + np.arange(m))
-                 for a in range(n)]
+    split = [(bad, i, name) for i, (name, bad) in enumerate(_split_failures(ext, np.arange(n)))
+             if bad is not None]
     report = Report("extension clauses (base %d, module %d, anchor %d)" % (n, m, e))
     report.add("construction_laws", True)
 
     def clause(name, run):  # a clause fails by raising ConsistencyError
         try:
-            run()
-        except ConsistencyError:
-            return report.add(name, False)
-        return report.add(name, True)
+            value = run()
+        except ConsistencyError as exc:
+            report.add(name, False)
+            return report.note("%s: %s" % (name, exc))
+        report.add(name, True)
+        return value
 
-    clause("anchor_isomorphisms", lambda: [anchor_iso(ext, e2) for e2 in range(m)])
-    clause("module_over_extension", lambda: module_over_extension(ext))
+    def fibers():  # as a loop over the fibers would: the quotient at a = 0
+        kinds, failures = _fiber_kinds(ext, np.arange(n))
+        _raise_first([f for f in failures if f[0] == 0])
+        if base.sided != LEFT:
+            _fiber_quotient(ext, Paragon(ext.truss, np.arange(m), kinds[0]))
+        bad = next((a for a, _, name in split if name == "kernel_matches_fiber_relation"), None)
+        _raise_first(failures + [(bad, "fiber %s has another sub-heap relation" % bad)])
 
-    def fibers():
-        for a in range(n):
-            fiber_paragon(ext, a, build_quotient=a == 0)
-            if relations[a] != relations[0]:
-                raise ConsistencyError("fiber %d has another sub-heap relation" % a)
-
+    clause("anchor_isomorphisms", lambda: _anchor_isos(ext, np.arange(m)))
+    ext_mod = clause("module_over_extension", lambda: module_over_extension(ext))
     clause("fiber_paragons_and_quotients", fibers)
-    clause("base_subtruss_and_module_quotient", lambda: base_subtruss(ext))
-    report.add("split_sequences",
-               all(split_sequence_check(ext, a, relations[a]).ok for a in range(n)))
+    clause("base_subtruss_and_module_quotient", lambda: base_subtruss(ext, ext_mod))
+    first = min(split, default=None)  # (fiber, check position, check name)
+    report.add("split_sequences", first is None, None if first is None else first[:1])
+    if first is not None:
+        report.note("split_sequences: fiber %d fails %s" % (first[0], first[2]))
     clause("ring_type_criterion", lambda: ring_type_check(ext))
     if base.identity is not None and module.unital:
         clause("unit_group_product_law", lambda: ext_units(ext))
@@ -345,17 +420,16 @@ def extension_clause_report(base, module, e):
 
 
 def iterated_extension_matches_product(base, module, e):
-    """Extending the extension by M again matches extending by M x M.
+    """Extending the extension by M again equals extending by M x M.
 
-    Returns the isomorphism found by backtracking (the two constructions are
-    equal only up to re-pairing).
+    Pair ((t, x), y) has index (t m + x) m + y = t m^2 + (x m + y), the index
+    of (t, (x, y)), and as (t, x).e = x both products have second coordinate
+    [y, t.e, t.y'].  So the heaps and tables are equal, and the identity map
+    is the isomorphism returned.
     """
     ext1 = extend(base, module, e)
-    mod2 = module_over_extension(ext1)
-    ext2 = extend(ext1.truss, mod2, e)
-    prod = product_module(module, module)
-    flat = extend(base, prod, module.order * e + e)
-    phi = truss_isomorphism(ext2.truss, flat.truss)
-    if phi is None:
-        raise ConsistencyError("iterated extension is not isomorphic to the product-module extension")
-    return phi
+    ext2 = extend(ext1.truss, module_over_extension(ext1), e)
+    flat = extend(base, product_module(module, module), module.order * e + e)
+    if ext2.truss != flat.truss:
+        raise ConsistencyError("iterated extension differs from the product-module extension")
+    return list(range(flat.order))

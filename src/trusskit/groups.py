@@ -12,11 +12,13 @@ by a normal subgroup is the multiplication the cosets induce
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .heaps import AbGroup, _element_orders, _norm_labels, _square_table, induced_table, pair_table
+from .heaps import (AbGroup, _element_orders, _norm_labels, _prime_powers, _square_table,
+                    induced_table, pair_table)
 from .lawcheck import ConsistencyError, Report, ValidationError, associativity_witness
 
 NODE_BUDGET = 1_000_000
@@ -200,17 +202,16 @@ class GroupFingerprint:
 
 
 def fingerprint(g):
+    """An abelian g is its own center and abelianization, with derived
+    subgroup {e}: its invariants come from the element orders alone."""
     orders = g.element_orders()
     profile = tuple(sorted((int(k), int(v)) for k, v in zip(*np.unique(orders, return_counts=True))))
-    derived = g.derived_subgroup()
-    ab, _ = g.quotient_by(derived)
-    return GroupFingerprint(
-        order=g.order,
-        order_profile=profile,
-        center_size=len(g.center()),
-        derived_size=len(derived),
-        abelianization=tuple(abelian_invariants(ab)),
-    )
+    if g.is_abelian():
+        center, derived, ab = g.order, 1, abelian_invariants(g, orders)
+    else:
+        sub = g.derived_subgroup()
+        center, derived, ab = len(g.center()), len(sub), abelian_invariants(g.quotient_by(sub)[0])
+    return GroupFingerprint(g.order, profile, center, derived, tuple(ab))
 
 
 def abelian_basis(g):
@@ -249,17 +250,25 @@ def abelian_basis(g):
     return basis
 
 
-def abelian_invariants(g):
-    """Invariant factors d_1 | d_2 | ... | d_r with product |G|."""
-    basis = abelian_basis(g)
-    invs = [d for _, d in basis]
-    total = 1
-    for prev, cur in zip(invs, invs[1:]):
-        if cur % prev != 0:
-            raise ConsistencyError("invariant factors fail the divisibility chain")
-    for d in invs:
-        total *= d
-    if total != g.order:
+def abelian_invariants(g, orders=None):
+    """Invariant factors d_1 | d_2 | ... | d_r with product |G|.
+
+    Read off the element orders (computed unless passed): if the p-part of
+    G is the sum of the C_{p^e_i}, #{x : o(x) | p^k} = p^(sum_i min(k, e_i)),
+    an exponent that grows by #{i : e_i >= k} from k - 1 to k.  The j-th
+    largest invariant factor is the product over p of p^(j-th largest e_i).
+    """
+    if not g.is_abelian():
+        raise ValueError("abelian decomposition of a nonabelian group")
+    orders = g.element_orders() if orders is None else orders
+    largest = np.ones(g.order.bit_length(), dtype=np.int64)
+    for p, a in _prime_powers(g.order):
+        at_least = np.diff([round(math.log(int((p ** k % orders == 0).sum()), p))
+                            for k in range(a + 1)])
+        exps = (at_least > np.arange(at_least[0])[:, None]).sum(axis=1)
+        largest[:exps.size] *= p ** exps
+    invs = [int(d) for d in largest[::-1] if d > 1]
+    if math.prod(invs) != g.order:
         raise ConsistencyError("invariant factor product differs from the order")
     return invs
 
@@ -429,10 +438,12 @@ def group_from_spec(spec):
     return g
 
 
-def named_match(g):
-    """A display name for g among the families this library knows, or None."""
+def named_match(g, fp=None):
+    """A display name for g among the families this library knows, or None;
+    an abelian g is named by the abelianization of ``fp``, its fingerprint,
+    when the caller has it."""
     if g.is_abelian():
-        invs = abelian_invariants(g)
+        invs = abelian_invariants(g) if fp is None else list(fp.abelianization)
         if not invs:
             return "C1"
         return "x".join("C%d" % d for d in invs)
@@ -468,5 +479,5 @@ def identification_report(g):
             "derived_size": fp.derived_size,
             "abelianization": list(fp.abelianization),
         },
-        "named_match": named_match(g),
+        "named_match": named_match(g, fp),
     }

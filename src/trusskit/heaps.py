@@ -192,16 +192,41 @@ class AbGroup:
         return "AbGroup(order=%d, zero=%d)" % (self.order, self.zero)
 
 
+def _prime_powers(n):
+    """[(p, a), ...]: each prime p dividing n, ascending, with p^a exactly dividing n."""
+    out, p = [], 2
+    while n > 1:
+        if n % p == 0:  # a prime, as the smaller ones are divided out
+            out.append((p, next(a for a in itertools.count() if n % p ** (a + 1))))
+            n //= p ** out[-1][1]
+        p += 1
+    return out
+
+
 def _element_orders(op, e):
-    """The order of each element under the group table ``op`` with identity ``e``."""
-    n = len(op)
-    orders, cur = np.zeros(n, dtype=np.int64), np.full(n, e)
-    for k in range(1, n + 1):
-        cur = op[cur, np.arange(n)]  # x^k
-        orders[(orders == 0) & (cur == e)] = k
-        if orders.all():
-            return orders
-    raise ConsistencyError("element order exceeds group order")
+    """The order of each element under the group table ``op`` with identity ``e``.
+
+    With p^a exactly dividing n = |G|, the p-part of o(x) is the order of
+    y = x^(n / p^a): the number of steps y -> y^p before y = e.  Powers come
+    by repeated squaring, log k gathers for x^k.
+    """
+    n, idx = len(op), np.arange(len(op))
+
+    def power(x, k):
+        out = np.full(n, e)
+        while k:
+            out, x, k = op[out, x] if k & 1 else out, op[x, x], k >> 1
+        return out
+
+    if (power(idx, n) != e).any():
+        raise ConsistencyError("element order exceeds group order")
+    orders = np.ones(n, dtype=np.int64)
+    for p, a in _prime_powers(n):
+        y = power(idx, n // p ** a)
+        for _ in range(a):
+            orders[y != e] *= p
+            y = power(y, p)
+    return orders
 
 
 def pair_table(a, b):

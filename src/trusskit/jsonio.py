@@ -182,7 +182,9 @@ def _read(doc):
                 return None, report
             t = Truss(heap, doc["mul"], sided=doc.get("sided", TWO_SIDED), labels=labels,
                       check=False)
-            report.extend(truss_law_report(t))
+            laws = truss_law_report(t)
+            t.lawful = laws.ok
+            report.extend(laws)
             _declared(report, doc, "identity", t.identity)
             _declared(report, doc, "absorber", t.absorber)
             if "extension" not in doc:

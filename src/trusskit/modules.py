@@ -23,7 +23,6 @@ from .heaps import (
     _norm_labels,
     closed_subheaps,
     induced_table,
-    pair_table,
     product_heap,
     quotient_heap,
     subheap_relation_classes,
@@ -81,10 +80,10 @@ def module_law_report(mod, seed=None):
     (s, e, t, x).  Over a two-sided truss the truss-side law is scanned in
     full; once it holds, the generator rows of T decide the carrier law, and
     once both do, the (r_T + 1)^2 (r_M + 1) generator triples decide
-    associativity, by the truss's own laws, which every checked ``Truss``
-    satisfies.  With the carrier law only, x runs over M's generators.  The
-    truss-side law is skipped for left trusses, where it is no law.
-    ``seed`` is ignored.
+    associativity, by the truss's own laws: only when ``truss.lawful``
+    says they were checked; otherwise s and t run over the whole truss.
+    With the carrier law only, x runs over M's generators.  The truss-side
+    law is skipped for left trusses, where it is no law.  ``seed`` is ignored.
     """
     t, m = mod.truss.order, mod.order
     report = Report("module laws (truss %d on carrier %d)" % (t, m))
@@ -92,7 +91,7 @@ def module_law_report(mod, seed=None):
         report.note("empty carrier: laws hold vacuously")
         return report
     w, carrier, bracket = _law_witnesses(mod.truss.mul, mod.action, mod.truss.heap,
-                                         mod.heap, mod.truss.sided)
+                                         mod.heap, mod.truss.sided, mod.truss.lawful)
     report.add("module.associative", w is None, w)
     if mod.truss.sided == TWO_SIDED:
         report.add("module.truss_bracket", bracket is None,
@@ -131,7 +130,7 @@ def product_module(m1, m2, check=False):
     if m1.truss is not m2.truss and m1.truss != m2.truss:
         raise ValueError("product module needs both factors over the same truss")
     heap = product_heap(m1.heap, m2.heap)
-    action = pair_table(m1.action, m2.action)[:: m1.truss.order + 1]  # rows (t, t) of T x T
+    action = (m1.action[:, :, None] * m2.order + m2.action[:, None, :]).reshape(m1.truss.order, -1)
     return TModule(m1.truss, heap, action, check=check)
 
 

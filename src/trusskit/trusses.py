@@ -44,7 +44,9 @@ class Truss:
     """Heap plus multiplication table; ``sided`` is "two-sided" or "left".
 
     Laws are verified exhaustively at construction (``truss_law_report``);
-    the identity and absorber are detected by table scan.
+    the identity and absorber are detected by table scan.  ``lawful``
+    records that the laws were checked: by ``check``, ``truss_from_ring`` or
+    a passing report in ``jsonio.validate``.
     """
 
     def __init__(self, heap, mul, sided=TWO_SIDED, labels=None, check=True):
@@ -61,6 +63,7 @@ class Truss:
         self.absorber = self._scan_absorber()
         if check:
             truss_law_report(self).raise_invalid()
+        self.lawful = bool(check)
 
     def _scan_identity(self):
         idx = np.arange(self.order)
@@ -100,14 +103,15 @@ class Truss:
         )
 
 
-def _law_witnesses(mul, act, theap, mheap, sided):
+def _law_witnesses(mul, act, theap, mheap, sided, mul_lawful=True):
     """Witnesses (associative, rows, columns) for the action ``act`` of ``mul``
     (on ``theap``) on ``mheap``: rows x -> t.x and, two-sided, columns
     t -> t.x are heap morphisms, and s.(t.x) = (st).x; ``act = mul`` gives
     the truss laws.  Columns are scanned in full; once they hold, generator
     rows decide the rows, and once both hold, generator triples decide
-    associativity (for a module: given a lawful two-sided ``mul``).  Every
-    witness is the full scan's (``associativity_witness``).
+    associativity.  For a module that needs ``mul`` to distribute on both
+    sides, which ``mul_lawful`` vouches for; without it s and t run over
+    every element.  Every witness is the full scan's (``associativity_witness``).
     """
     cols = morphism_witness(act.T, theap, mheap) if sided == TWO_SIDED else None
     both = sided == TWO_SIDED and cols is None and theap.order
@@ -115,8 +119,9 @@ def _law_witnesses(mul, act, theap, mheap, sided):
     rows = morphism_witness(act, mheap, mheap, at=sides)
     if rows is not None:
         return associativity_witness(mul, act), rows, cols
+    triples = sides if mul_lawful else None
     lasts = heap_generators(mheap)
-    return associativity_witness(mul, act, firsts=sides, mids=sides, lasts=lasts), rows, cols
+    return associativity_witness(mul, act, firsts=triples, mids=triples, lasts=lasts), rows, cols
 
 
 def truss_law_report(t, seed=None):
@@ -179,7 +184,9 @@ def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED):
             raise ValidationError(law, (moved[0], zero, zero))
         if w is not None:
             raise ValidationError(law, (w[0], w[1], w[3]))
-    return Truss(heap, mul, sided=sided, labels=labels, check=False)
+    t = Truss(heap, mul, sided=sided, labels=labels, check=False)
+    t.lawful = True
+    return t
 
 
 def lambda_q(t, x, p, q):
@@ -271,23 +278,24 @@ def is_paragon(t, members):
         if not rho_ok:
             failures["rho"] = (q, members[w[0]], w[1])
 
-    if t.sided == LEFT:
-        if lam_ok:
-            return ParagonReport("left", Paragon(t, members, "left"))
-        return ParagonReport("none", failures=failures)
+    ideal_ok = t.sided == TWO_SIDED and bool(mask[t.mul[:, sarr]].all()
+                                             and mask[t.mul[sarr, :]].all())
+    kind = _paragon_kind(t.sided, lam_ok, rho_ok, ideal_ok)
+    return ParagonReport(kind, None if kind == "none" else Paragon(t, members, kind), failures)
 
-    ideal_ok = bool(mask[t.mul[:, sarr]].all() and mask[t.mul[sarr, :]].all())
+
+def _paragon_kind(sided, lam_ok, rho_ok, ideal_ok):
+    """The kind ``is_paragon`` gives a sub-heap from its closure verdicts;
+    a left truss has kinds "left" and "none" only."""
+    if sided == LEFT:
+        return "left" if lam_ok else "none"
     if ideal_ok:
         if not (lam_ok and rho_ok):
             raise ConsistencyError("an ideal failed paragon closure; theory violated")
-        return ParagonReport("ideal", Paragon(t, members, "ideal"))
-    if lam_ok and rho_ok:
-        return ParagonReport("two-sided", Paragon(t, members, "two-sided"))
+        return "ideal"
     if lam_ok:
-        return ParagonReport("left", Paragon(t, members, "left"), failures)
-    if rho_ok:
-        return ParagonReport("right", Paragon(t, members, "right"), failures)
-    return ParagonReport("none", failures=failures)
+        return "two-sided" if rho_ok else "left"
+    return "right" if rho_ok else "none"
 
 
 def paragons(t):

@@ -26,7 +26,7 @@ from trusskit import (
     za_truss,
     zn_truss,
 )
-from trusskit import extensions, heaps, jsonio, modules, trusses
+from trusskit import extensions, jsonio, modules, trusses
 from trusskit.catalog import left_translation_truss
 from trusskit.extensions import ExtTruss
 from trusskit.modules import TModule
@@ -300,7 +300,16 @@ class TestClauseSuiteAndIteration:
     def test_iterated_extension(self):
         base = zn_truss(2)
         phi = iterated_extension_matches_product(base, regular_module(base), 0)
-        assert sorted(phi) == list(range(8))
+        assert phi == list(range(8))
+
+    @pytest.mark.parametrize("base", [zn_truss(2), zn_truss(3), zn_truss(4), za_truss(2, 4)],
+                             ids=["Z2", "Z3", "Z4", "za24"])
+    def test_iterated_extension_is_the_identity_at_every_anchor(self, base):
+        c2 = heap_from_group(AbGroup.cyclic(2))
+        for module in (regular_module(base), trivial_module(base, c2)):
+            for e in range(module.order):
+                phi = iterated_extension_matches_product(base, module, e)
+                assert phi == list(range(base.order * module.order ** 2))
 
 
 def _relabelled(build):
@@ -337,9 +346,10 @@ class TestRelabelledQuotient:
     def test_split_sequence(self, monkeypatch):
         ext = self.ext_z4()
         assert split_sequence_check(ext, 1).ok
-        relation = heaps.subheap_relation_classes
-        monkeypatch.setattr(extensions, "subheap_relation_classes",
-                            lambda h, s: [relation(h, s)[i] for i in (1, 0, 2, 3)])
+        relation = extensions._fiber_relations
+        swap = np.r_[4:8, 0:4, 8:16]  # the classes of blocks 0 and 1 trade places
+        monkeypatch.setattr(extensions, "_fiber_relations",
+                            lambda ext, fibers: relation(ext, fibers)[:, swap])
         failed = [c.name for c in split_sequence_check(ext, 1).failures()]
         assert failed == ["kernel_matches_fiber_relation"]
 
@@ -351,7 +361,7 @@ class TestRelabelledQuotient:
 
 def test_clause_report_builds_one_fiber_quotient(monkeypatch):
     # every fiber shares the sub-heap relation {t} x M: one quotient serves
-    # them all, and each fiber's relation is computed once for both clauses
+    # them all, and one batched call relates every fiber for both clauses
     calls = {"quotient": 0, "relation": 0}
 
     def counted(name, fn):
@@ -361,22 +371,26 @@ def test_clause_report_builds_one_fiber_quotient(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(extensions, "quotient_truss", counted("quotient", trusses.quotient_truss))
-    monkeypatch.setattr(extensions, "subheap_relation_classes",
-                        counted("relation", heaps.subheap_relation_classes))
+    monkeypatch.setattr(extensions, "_fiber_relations",
+                        counted("relation", extensions._fiber_relations))
     base = za_truss(2, 8)
     _, report = extension_clause_report(base, regular_module(base), 3)
     assert report.ok
-    assert calls == {"quotient": 1, "relation": base.order}
+    assert calls == {"quotient": 1, "relation": 1}
 
 
 def test_clause_report_catches_a_fiber_with_another_relation(monkeypatch):
-    relation = heaps.subheap_relation_classes
+    relation = extensions._fiber_relations
 
-    def shuffled(h, s):  # the fiber at 1 reports its classes in another order
-        classes = relation(h, s)
-        return classes[::-1] if 4 in s else classes
+    def shuffled(ext, fibers):  # the fiber at 1 reports its classes in another order
+        rows, at = relation(ext, fibers), np.asarray(fibers) == 1
+        rows[at] = rows[at][:, ::-1]
+        return rows
 
-    monkeypatch.setattr(extensions, "subheap_relation_classes", shuffled)
+    monkeypatch.setattr(extensions, "_fiber_relations", shuffled)
     _, report = extension_clause_report(zn_truss(4), regular_module(zn_truss(4)), 0)
     assert [c.name for c in report.failures()] == ["fiber_paragons_and_quotients",
                                                    "split_sequences"]
+    assert report.failures()[1].witness == (1,)
+    assert report.notes == ["fiber_paragons_and_quotients: fiber 1 has another sub-heap relation",
+                            "split_sequences: fiber 1 fails kernel_matches_fiber_relation"]

@@ -5,6 +5,7 @@ import pytest
 
 from trusskit import (
     AbGroup,
+    ConsistencyError,
     FiniteGroup,
     ValidationError,
     abelian_invariants,
@@ -20,7 +21,7 @@ from trusskit import (
     quaternion_group,
     zn_truss,
 )
-from trusskit.groups import abelian_basis, abelian_coordinates
+from trusskit.groups import GroupFingerprint, abelian_basis, abelian_coordinates
 
 
 def order_profile(g):
@@ -123,6 +124,73 @@ class TestAbelianInvariants:
         basis, coords = abelian_coordinates(g)
         assert len(coords) == g.order
         assert sorted(d for _, d in basis) == [2, 4]
+
+
+def _cyclic_sums(limit):
+    """Every direct sum of cyclic groups of order at most ``limit``, as its
+    factor orders (each >= 2, ascending); () is the trivial group."""
+    def grow(prefix, least, order):
+        yield prefix
+        for k in range(least, limit // order + 1):
+            yield from grow(prefix + (k,), k, order * k)
+    return list(grow((), 2, 1))
+
+
+def _cyclic_sum(factors):
+    g = cyclic_group(1)
+    for f in factors:
+        g = direct_product(g, cyclic_group(f))
+    return g
+
+
+def _sequential_orders(g):
+    """Oracle: the least k with x^k = e, one multiplication per power."""
+    orders, cur = np.zeros(g.order, dtype=np.int64), np.full(g.order, g.id)
+    for k in range(1, g.order + 1):
+        cur = g.mul[cur, np.arange(g.order)]
+        orders[(orders == 0) & (cur == g.id)] = k
+    return orders
+
+
+def _basis_fingerprint(g):
+    """Oracle: the fingerprint through the derived-subgroup closure, the
+    quotient by it and the recursive ``abelian_basis``."""
+    derived = g.derived_subgroup()
+    ab, _ = g.quotient_by(derived)
+    profile = tuple(sorted(order_profile(g).items()))
+    return GroupFingerprint(order=g.order, order_profile=profile, center_size=len(g.center()),
+                            derived_size=len(derived),
+                            abelianization=tuple(d for _, d in abelian_basis(ab)))
+
+
+ABELIAN = ([("C" + "xC".join(map(str, f)) if f else "C1", lambda f=f: _cyclic_sum(f))
+            for f in _cyclic_sums(64)]
+           + [("U(Z_%d)" % n, lambda n=n: group_from_units(zn_truss(n))) for n in range(2, 65)])
+
+
+class TestInvariantsFromOrderCounts:
+    """Element orders by repeated squaring and invariant factors from the
+    order counts, against the sequential powers and ``abelian_basis``."""
+
+    @pytest.mark.parametrize("build", [b for _, b in ABELIAN], ids=[name for name, _ in ABELIAN])
+    def test_matches_the_basis_path(self, build):
+        g = build()
+        assert np.array_equal(g.element_orders(), _sequential_orders(g))
+        assert abelian_invariants(g) == [d for _, d in abelian_basis(g)]
+        assert fingerprint(g) == _basis_fingerprint(g)
+        assert named_match(g) == named_match(g, fingerprint(g))
+
+    @pytest.mark.parametrize("g", [dihedral_group(12), quaternion_group(),
+                                   direct_product(dihedral_group(8), cyclic_group(2))],
+                             ids=["D12", "Q8", "D8xC2"])
+    def test_nonabelian_fingerprint_unchanged(self, g):
+        assert np.array_equal(g.element_orders(), _sequential_orders(g))
+        assert fingerprint(g) == _basis_fingerprint(g)
+
+    def test_a_power_that_misses_the_identity_is_an_error(self):
+        g = FiniteGroup([[0, 1, 2], [1, 1, 0], [2, 0, 2]], check=False)  # 1 1 = 1
+        with pytest.raises(ConsistencyError, match="element order exceeds group order"):
+            g.element_orders()
 
 
 class TestIsomorphism:

@@ -33,7 +33,8 @@ from trusskit import (
 from trusskit.catalog import end_truss, left_translation_truss, trunc_poly_truss, za_truss
 from trusskit.extensions import extend
 from trusskit.heaps import closed_subheaps, subheap_relation_classes, subheap_witness
-from trusskit.trusses import opposite_truss
+from trusskit.trusses import Truss, opposite_truss
+from trusskit import jsonio
 
 
 def _is_heap_congruence(heap, cls_of, rep_of):
@@ -151,6 +152,32 @@ class TestModuleLaws:
             != br(mod.act(t1, x), mod.act(t2, x), mod.act(t3, x))
         ]
         assert bad
+
+
+class TestUncheckedTruss:
+    """Associativity on generator triples trusts the truss's own laws, so it
+    is used only over a truss whose laws were checked (``Truss.lawful``)."""
+
+    @staticmethod
+    def shifted_truss():
+        # Z_4 with s.t = f(s) + t, f = (0, 1, 0, 3): rows are translations,
+        # but f is not additive, so the right distributive law fails
+        f, idx = np.array([0, 1, 0, 3]), np.arange(4)
+        return Truss(heap_from_group(AbGroup.cyclic(4)), (f[:, None] + idx) % 4, check=False)
+
+    def test_unchecked_truss_gets_the_full_associativity_scan(self):
+        t = self.shifted_truss()
+        assert not t.lawful
+        mod = TModule(t, t.heap, (np.arange(4)[:, None] + np.arange(4)) % 4, check=False)
+        failed = [(c.name, c.witness) for c in module_law_report(mod).failures()]
+        assert failed == [("module.associative", (2, 0, 0))]  # 2.(0.0) = 2, (2.0).0 = 0
+
+    def test_every_checking_path_marks_the_truss(self):
+        assert zn_truss(4).lawful and za_truss(2, 8).lawful  # truss_from_ring, check=True
+        assert not self.shifted_truss().lawful
+        assert jsonio.from_jsonable(jsonio.to_jsonable(zn_truss(4))).lawful
+        obj, report = jsonio.validate(jsonio.to_jsonable(self.shifted_truss()))
+        assert not report.ok and not obj.lawful
 
 
 class TestInducedAction:
