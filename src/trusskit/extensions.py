@@ -10,10 +10,11 @@ module builds that truss, the canonical structure around it -- the change of
 anchor isomorphisms, the module structure of M over the extension, the fiber
 paragons {a} x M with quotient T, the base copy T x {e} with quotient M, the
 split sequence, and the unit group law U(T x M) = U(T) x M -- and verifies
-each piece at construction time.  The clause suite checks each family in one
-array pass, all m anchors or all n fibers at once, and reports the error a
-loop over the family would raise first; ``anchor_iso``, ``fiber_paragon`` and
-``split_sequence_check`` are that code at one anchor or fiber.
+each piece at construction time.  The clause suite checks each family in
+array passes, all n fibers at once and the m anchors in chunks of bounded
+size, and reports the error a loop over the family would raise first;
+``anchor_iso``, ``fiber_paragon`` and ``split_sequence_check`` are that code
+at one anchor or fiber.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .trusses import (
     LEFT,
     Paragon,
     Truss,
-    _paragon_kind,
+    _paragon_reports,
     inverse_in,
     is_paragon,
     quotient_truss,
@@ -122,25 +123,31 @@ def _raise_first(failures):
         raise ConsistencyError(failures[min(hits)[1]][1])
 
 
+_STACK = 1 << 16  # table entries per anchor chunk: every anchor of an extension of order 64
+
+
 def _anchor_isos(ext, anchors):
-    """(tables, phis): the extension tables at the anchors e2, stacked, and the
-    maps phi (t, x) -> (t, [x, e, e2]) onto them as rows, each verified
-    bijective (one sort), multiplicative (one grid) and bracket-preserving
-    (one ``morphism_witness`` over all rows) in full."""
-    n, m, k = ext.base.order, ext.m, len(anchors)
-    anchors = np.asarray(anchors)
-    tables = _ext_mul(ext.base, ext.module, anchors)
-    shift = ext.module.heap.bracket_arrays(np.arange(m), ext.anchor, anchors[:, None])
-    phis = (np.arange(n)[:, None] * m + shift[:, None, :]).reshape(k, n * m)
-    mul = grid_witness(phis[:, ext.truss.mul],
-                       tables[np.arange(k)[:, None, None], phis[:, :, None], phis[:, None, :]])
-    hom = morphism_witness(phis, ext.truss.heap, ext.truss.heap)
-    _raise_first([
-        (_first((np.sort(phis, axis=1) != np.arange(n * m)).any(axis=1)),
-         "anchor change is not a bijection"),
-        (None if mul is None else mul[0], "anchor change is not multiplicative"),
-        (None if hom is None else hom[0], "anchor change is not a heap morphism"),
-    ])
+    """Verify the maps phi (t, x) -> (t, [x, e, e2]) onto the extension tables
+    at the anchors e2, in order, in chunks of at most ``_STACK`` table entries
+    (one anchor when a table is larger): per chunk, the tables stacked and
+    the maps as rows, bijective (one sort), multiplicative (one grid) and
+    bracket-preserving (one ``morphism_witness``) in full.  Returns the last
+    chunk's (tables, phis)."""
+    n, m, nm = ext.base.order, ext.m, ext.order
+    anchors, step = np.asarray(anchors), max(1, _STACK // nm ** 2)
+    for chunk in np.split(anchors, np.arange(step, len(anchors), step)):
+        tables = _ext_mul(ext.base, ext.module, chunk)
+        shift = ext.module.heap.bracket_arrays(np.arange(m), ext.anchor, chunk[:, None])
+        phis = (np.arange(n)[:, None] * m + shift[:, None, :]).reshape(len(chunk), nm)
+        mul = grid_witness(phis[:, ext.truss.mul], tables[np.arange(len(chunk))[:, None, None],
+                                                          phis[:, :, None], phis[:, None, :]])
+        hom = morphism_witness(phis, ext.truss.heap, ext.truss.heap)
+        _raise_first([
+            (_first((np.sort(phis, axis=1) != np.arange(nm)).any(axis=1)),
+             "anchor change is not a bijection"),
+            (None if mul is None else mul[0], "anchor change is not multiplicative"),
+            (None if hom is None else hom[0], "anchor change is not a heap morphism"),
+        ])
     return tables, phis
 
 
@@ -179,39 +186,28 @@ def module_over_extension(ext):
     mod = TModule(ext.truss, ext.module.heap, table, labels=ext.module.labels)
     if grid_witness(table[:, ext.anchor].reshape(n, m), np.arange(m)[None, :]) is not None:
         raise ConsistencyError("(t, x).e = x failed")
-    # [e2, p, x]: the induced actions at every anchor e2 agree with the base module's
-    e2 = np.arange(m)[:, None, None]
-    ext_ind = br(table[None], table.T[:, :, None], e2)
-    base_ind = br(act[None], act.T[:, :, None], e2)
-    if grid_witness(ext_ind.reshape(m, n, m, m), base_ind[:, :, None, :]) is not None:
+    # induced actions [p.x, p.e2, e2] and [t.x, t.e2, e2], p = (t, y), agree at
+    # every e2 iff p.x - t.x does not depend on x: the anchor e decides every e2
+    e = ext.anchor
+    ext_ind, base_ind = br(table, table[:, e][:, None], e), br(act, act[:, e][:, None], e)
+    if grid_witness(ext_ind.reshape(n, m, m), base_ind[:, None, :]) is not None:
         raise ConsistencyError("induced actions of the extension do not collapse to the base")
     return mod
 
 
 def _fiber_kinds(ext, fibers):
-    """(kinds, failures) of the fibers {a} x M, a in ``fibers``: ``is_paragon``'s
-    kinds, from one (k, nm, m) array per law (sub-heap, lambda and rho
-    closure at q = a m, ideal), where v lies in fiber a iff v // m = a; and
-    the checks ``fiber_paragon`` makes of them, for ``_raise_first``."""
-    m, t = ext.m, ext.truss
-    a = np.asarray(fibers)[:, None, None]
-    q, idx, fiber = a * m, np.arange(ext.order)[:, None], a * m + np.arange(m)
-    left, right = t.mul[idx, fiber], t.mul[fiber.transpose(0, 2, 1), idx.T]
-
-    def inside(v):
-        return (v // m == a).all(axis=(1, 2))
-
-    laws = (inside(t.bracket_arrays(q, fiber.transpose(0, 2, 1), fiber)),
-            inside(t.bracket_arrays(left, t.mul[idx, q], q)),
-            inside(t.bracket_arrays(right, t.mul[q, idx.T], q)), inside(left) & inside(right))
-    kinds = [_paragon_kind(t.sided, *ok) if sub else "none" for sub, *ok in zip(*laws)]
+    """(kinds, failures) of the fibers {a} x M, a in ``fibers``: their
+    ``is_paragon`` kinds, all fibers at once (``_paragon_reports``), and the
+    checks ``fiber_paragon`` makes of them, for ``_raise_first``."""
+    a = np.asarray(fibers)
+    kinds = [r.kind for r in _paragon_reports(ext.truss, a[:, None] * ext.m + np.arange(ext.m))]
     if ext.base.sided == LEFT:
         bad = _first([kind != "left" for kind in kinds])
         return kinds, [(bad, "fiber {a} x M is not a left paragon: %s" % kinds[bad or 0])]
     bad = _first([kind not in ("two-sided", "ideal") for kind in kinds])
     return kinds, [
         (bad, "fiber {a} x M failed to classify as a paragon: %s" % kinds[bad or 0]),
-        (_first((np.array(kinds) == "ideal") != (a.ravel() == ext.base.absorber)),
+        (_first((np.array(kinds) == "ideal") != (a == ext.base.absorber)),
          "fiber ideal test disagrees with base absorber test")]
 
 

@@ -24,7 +24,6 @@ from .heaps import (
     morphism_witness,
     quotient_heap,
     retract,
-    subheap_witness,
     _norm_labels,
     _square_table,
 )
@@ -103,15 +102,16 @@ class Truss:
         )
 
 
-def _law_witnesses(mul, act, theap, mheap, sided, mul_lawful=True):
+def _law_witnesses(mul, act, theap, mheap, sided, mul_lawful):
     """Witnesses (associative, rows, columns) for the action ``act`` of ``mul``
     (on ``theap``) on ``mheap``: rows x -> t.x and, two-sided, columns
     t -> t.x are heap morphisms, and s.(t.x) = (st).x; ``act = mul`` gives
     the truss laws.  Columns are scanned in full; once they hold, generator
     rows decide the rows, and once both hold, generator triples decide
-    associativity.  For a module that needs ``mul`` to distribute on both
-    sides, which ``mul_lawful`` vouches for; without it s and t run over
-    every element.  Every witness is the full scan's (``associativity_witness``).
+    associativity.  That needs ``mul`` to distribute on both sides, which
+    ``mul_lawful`` vouches for (for ``act = mul`` the scans just made show
+    it); without it s and t run over every element.  Every witness is the
+    full scan's (``associativity_witness``).
     """
     cols = morphism_witness(act.T, theap, mheap) if sided == TWO_SIDED else None
     both = sided == TWO_SIDED and cols is None and theap.order
@@ -143,7 +143,7 @@ def truss_law_report(t, seed=None):
         report.note("empty truss: laws hold vacuously")
         return report
     mul = t.mul
-    assoc, left, right = _law_witnesses(mul, mul, t.heap, t.heap, t.sided)
+    assoc, left, right = _law_witnesses(mul, mul, t.heap, t.heap, t.sided, mul_lawful=True)
     report.add("truss.associative", assoc is None, assoc)
     report.add("truss.left_distributive", left is None, left)
     if t.sided == TWO_SIDED:
@@ -173,7 +173,7 @@ def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED):
         add = AbGroup(add)
     mul = _square_table(mul, "ring")
     heap = heap_from_group(add)
-    w, left, right = _law_witnesses(mul, mul, heap, heap, TWO_SIDED)
+    w, left, right = _law_witnesses(mul, mul, heap, heap, TWO_SIDED, mul_lawful=True)
     if w is not None:
         raise ValidationError("ring.associative", w)
     zero = add.zero
@@ -244,58 +244,66 @@ class ParagonReport:
 def is_paragon(t, members):
     """Classify a subset: ideal > two-sided > left/right paragon > none.
 
-    The sub-heap test is ``subheap_witness`` (|P|^2 brackets, not |P|^3).
+    The sub-heap test is ``subheap_witness``'s (|P|^2 brackets, not |P|^3).
     After it, closure is tested at q = members[0] only (n |P| instead of
     |P|^2 n): lambda_q'(x, p) = [lambda_q(x, p), lambda_q(x, q'), q'] holds
     in any heap, so on a sub-heap one q decides every q (rho alike).
     For left trusses only lambda closure applies: kinds "left" and "none".
+    ``_paragon_reports`` decides a stack of equal-size subsets at once.
     """
     members = tuple(sorted({int(m) for m in members}))
     if not members:
         raise ValueError("the empty set cannot be classified; a paragon is nonempty")
-    n = t.order
-    if members[0] < 0 or members[-1] >= n:
+    if members[0] < 0 or members[-1] >= t.order:
         raise ValueError("subset member out of range")
-    w = subheap_witness(t, members)
-    if w is not None:
-        return ParagonReport("none", failures={"subheap": w})
-    sarr = np.array(members)
-    mask = np.zeros(n, dtype=bool)
-    mask[sarr] = True
-    failures = {}
-
-    idx, q = np.arange(n), members[0]
-    lam = t.bracket_arrays(t.mul[idx[:, None], sarr[None, :]], t.mul[idx, q][:, None], q)
-    w = grid_witness(mask[lam], True)
-    lam_ok = w is None
-    if not lam_ok:
-        failures["lambda"] = (q, w[0], members[w[1]])
-    rho_ok = False
-    if t.sided == TWO_SIDED:
-        rho = t.bracket_arrays(t.mul[sarr[:, None], idx[None, :]], t.mul[q, idx][None, :], q)
-        w = grid_witness(mask[rho], True)
-        rho_ok = w is None
-        if not rho_ok:
-            failures["rho"] = (q, members[w[0]], w[1])
-
-    ideal_ok = t.sided == TWO_SIDED and bool(mask[t.mul[:, sarr]].all()
-                                             and mask[t.mul[sarr, :]].all())
-    kind = _paragon_kind(t.sided, lam_ok, rho_ok, ideal_ok)
-    return ParagonReport(kind, None if kind == "none" else Paragon(t, members, kind), failures)
+    return _paragon_reports(t, [members])[0]
 
 
-def _paragon_kind(sided, lam_ok, rho_ok, ideal_ok):
-    """The kind ``is_paragon`` gives a sub-heap from its closure verdicts;
-    a left truss has kinds "left" and "none" only."""
-    if sided == LEFT:
-        return "left" if lam_ok else "none"
-    if ideal_ok:
-        if not (lam_ok and rho_ok):
+def _paragon_reports(t, sets):
+    """``is_paragon`` of each row of ``sets``, a (k, s) array of sorted member
+    sets of one size: one (k, n, s) array per law decides all k sets.  Row
+    i of the flat membership mask, offset i n, holds set i."""
+    sets = np.asarray(sets, dtype=np.int64)
+    (k, s), n, two = sets.shape, t.order, t.sided == TWO_SIDED
+    off, rows, q = np.arange(0, k * n, n)[:, None, None], sets.tolist(), sets[:, :1, None]
+    mask = np.zeros(k * n, dtype=bool)
+    mask[sets + off[:, 0]] = True
+    out, live = [], []
+    sub = mask[t.bracket_arrays(q, sets[:, :, None], sets[:, None, :]) + off]
+    for j, ok in enumerate(sub.all(axis=(1, 2)).tolist()):
+        if ok:  # closure is decided on the sub-heaps only
+            out.append(None)
+            live.append(j)
+            continue
+        x, y = divmod(int(sub[j].argmin()), s)
+        row = rows[j]
+        out.append(ParagonReport("none", failures={"subheap": (row[0], row[x], row[y])}))
+    if not live:
+        return out
+    # inside[i, law, x, p]: x p, p x, lambda_q(x, p) = [x p, x q, q] and
+    # rho_q(p, x) = [p x, q x, q] lie in set i, for p in it and q its first
+    idx = np.arange(n)[:, None]
+    prods = np.concatenate([t.mul[idx, sets[:, None, :]][:, None], t.mul[sets[:, None, :], idx][:, None]],
+                           axis=1)
+    at_q = np.concatenate([t.mul[idx, q][:, None], t.mul[q, idx][:, None]], axis=1)
+    inside = mask[np.concatenate([prods, t.bracket_arrays(prods, at_q, q[:, None])], axis=1)
+                  + off[:, None]]
+    left_in, right_in, lam_ok, rho_ok = inside.all(axis=(2, 3)).T.tolist()
+    for j in live:
+        row, failures = rows[j], {}
+        lam_j, rho_j, ideal = lam_ok[j], two and rho_ok[j], two and left_in[j] and right_in[j]
+        if not lam_j:
+            x, p = divmod(int(inside[j, 2].argmin()), s)
+            failures["lambda"] = (row[0], x, row[p])
+        if two and not rho_j:
+            p, x = divmod(int(inside[j, 3].T.argmin()), n)
+            failures["rho"] = (row[0], row[p], x)
+        if ideal and not (lam_j and rho_j):
             raise ConsistencyError("an ideal failed paragon closure; theory violated")
-        return "ideal"
-    if lam_ok:
-        return "two-sided" if rho_ok else "left"
-    return "right" if rho_ok else "none"
+        kind = ("ideal" if ideal else "two-sided" if lam_j and rho_j else "left" if lam_j
+                else "right" if rho_j else "none")
+        out[j] = ParagonReport(kind, None if kind == "none" else Paragon(t, row, kind), failures)
+    return out
 
 
 def paragons(t):

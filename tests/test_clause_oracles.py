@@ -8,6 +8,8 @@ them.  Their verdicts and failure notes must equal the batched suite's, on
 valid instances and on corrupted ones.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,34 @@ def test_corrupted_reports_match_the_loops(monkeypatch, corruption, base, module
     assert got.to_dict() == want.to_dict()
     assert tuple(c.name for c in got.failures()) == failing
     assert len(got.notes) >= len(failing)
+
+
+@pytest.mark.parametrize("anchor", [None, 1, 2])
+@pytest.mark.parametrize("per_chunk", [1, 2])
+def test_anchor_chunks_report_as_the_loop(monkeypatch, per_chunk, anchor):
+    """Anchors checked a chunk at a time fail at the anchor the loop fails at."""
+    base, module = build("z2", 3)
+    monkeypatch.setattr(extensions, "_STACK", per_chunk * 36)  # tables of 6 x 6 entries
+    if anchor is not None:
+        monkeypatch.setattr(extensions, "_ext_mul", _corrupt_anchor(anchor))
+    _, got = extension_clause_report(base, module, 0)
+    _, want = oracle_clause_report(base, module, 0)
+    assert got.to_dict() == want.to_dict()
+    assert got.ok == (anchor is None)
+
+
+def test_anchor_chunks_keep_the_peak_within_a_few_tables():
+    """128 anchors of an extension of order 256: the peak traced memory stays
+    within a few of its 256 x 256 tables, not 128 of them at once."""
+    base = zn_truss(2)
+    ext = extend(base, trivial_module(base, heap_from_group(AbGroup.cyclic(128))), 0)
+    tracemalloc.start()
+    try:
+        extensions._anchor_isos(ext, np.arange(128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * ext.order ** 2 * 8
 
 
 def _other_trusses():

@@ -762,6 +762,30 @@ def test_paragon_every_subset_matches_all_q_oracle(name, build):
         _compare_paragon(t, [x for x in range(t.order) if bits >> x & 1])
 
 
+def _stack_matches_oracle(t, sets):
+    """``_paragon_reports`` on the stack ``sets`` reports each row as the
+    all-q oracle classifies it alone."""
+    for got, members in zip(trusses._paragon_reports(t, sets), sets, strict=True):
+        members_got = None if got.paragon is None else got.paragon.members
+        assert (got.kind, members_got, got.failures) == _paragon_oracle(t, members)
+
+
+@pytest.mark.parametrize("name,build", [("za2_8", lambda: za_truss(2, 8)),
+                                        ("left_translation", left_translation_truss),
+                                        ("zn6", functools.partial(zn_truss, 6)),
+                                        ("zn8", functools.partial(zn_truss, 8))])
+def test_paragon_stack_of_every_subset_of_one_size_matches_all_q_oracle(name, build):
+    t = build()
+    for size in range(1, t.order + 1):
+        _stack_matches_oracle(t, list(itertools.combinations(range(t.order), size)))
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_paragon_stacks_at_order_16_match_all_q_oracle(size):
+    for t in _order16() + [trusses.opposite_truss(_order16()[2])]:  # the last has right paragons
+        _stack_matches_oracle(t, list(itertools.combinations(range(16), size)))
+
+
 @functools.lru_cache(maxsize=None)
 def _order16():
     base = za_truss(2, 4)
