@@ -1,11 +1,13 @@
 """Cayley-table groups: validation, invariants, isomorphism search, named groups.
 
 Used to identify the multiplicative structures that show up downstream: unit
-groups of trusses and the additive retracts of heaps.  Groups here may be
-nonabelian; abelian ones get an invariant-factor decomposition, everything
-gets an isomorphism-invariant fingerprint, and isomorphism itself is decided
-by backtracking over generator images with fingerprint pruning.  A quotient
-by a normal subgroup is the multiplication the cosets induce
+groups of trusses, the additive retracts of heaps and the groups (B, .) of
+braces.  Groups here may be nonabelian; abelian ones get an invariant-factor
+decomposition, everything gets an isomorphism-invariant fingerprint, and
+isomorphism itself is decided by backtracking over generator images with
+fingerprint pruning.  ``FiniteGroup.closure`` is the one subgroup-span loop;
+``generators`` picks until the closure of its picks is everything.  A
+quotient by a normal subgroup is the multiplication the cosets induce
 (``heaps.induced_table``), and that check is also the normality test.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heaps import (AbGroup, _element_orders, _norm_labels, _prime_powers, _square_table,
-                    induced_table, pair_table)
+                    induced_table, pair_table, power)
 from .lawcheck import ConsistencyError, Report, ValidationError, associativity_witness
 
 NODE_BUDGET = 1_000_000
@@ -49,10 +51,8 @@ class FiniteGroup:
 
     def _find_inv(self):
         inv = np.full(self.order, -1, dtype=np.int64)
-        rows, cols = np.nonzero(self.mul == self.id)
-        for a, b in zip(rows, cols):
-            if self.mul[b, a] == self.id:
-                inv[a] = b
+        rows, cols = np.nonzero((self.mul == self.id) & (self.mul.T == self.id))
+        inv[rows] = cols
         if (inv < 0).any():
             a = int(np.flatnonzero(inv < 0)[0])
             raise ValidationError("group.inverse", (a,))
@@ -73,19 +73,15 @@ class FiniteGroup:
         """Picks until every element is a product of picks; ``pick`` maps the
         span's mask to the next (default: the smallest element outside it).
         In a group each pick at least doubles the span: at most log2(order).
-        Not cached: a value stored in the instance dict slows every attribute
-        read of the group, such as those in ``closure``'s loop.
+        Not cached: a value stored in the instance dict slows every later
+        attribute read of the group.
         """
         in_span = np.zeros(self.order, dtype=bool)
         in_span[self.id] = True
         gens = []
         while not in_span.all():
             gens.append(int(pick(in_span)))
-            new = np.flatnonzero(in_span)
-            while new.size:
-                new = np.unique(self.mul[np.ix_(new, gens)])
-                new = new[~in_span[new]]
-                in_span[new] = True
+            in_span[list(self.closure(gens))] = True
         return gens
 
     @classmethod
@@ -96,10 +92,7 @@ class FiniteGroup:
         return int(self.mul[a, b])
 
     def power(self, a, k):
-        x = self.id
-        for _ in range(k):
-            x = int(self.mul[x, a])
-        return x
+        return int(power(self.mul, a, k, self.id))
 
     def element_orders(self):
         return _element_orders(self.mul, self.id)
@@ -112,22 +105,18 @@ class FiniteGroup:
         return tuple(int(v) for v in np.flatnonzero(central))
 
     def closure(self, seeds):
-        """Subgroup generated by ``seeds``, as a sorted tuple."""
-        out = {self.id}
-        frontier = [self.id]
-        seeds = sorted({int(s) for s in seeds})
-        for s in seeds:
-            if s not in out:
-                out.add(s)
-                frontier.append(s)
-        while frontier:
-            x = frontier.pop()
-            for y in sorted(out):
-                for z in (int(self.mul[x, y]), int(self.mul[y, x])):
-                    if z not in out:
-                        out.add(z)
-                        frontier.append(z)
-        return tuple(sorted(out))
+        """Subgroup generated by ``seeds``, as a sorted tuple: right products
+        with the seeds from the identity until a round adds nothing (in a
+        finite group every inverse is a positive power)."""
+        gens = np.fromiter(seeds, dtype=np.int64)
+        in_span = np.arange(self.order) == self.id
+        new = [self.id]
+        while len(new):
+            reached = np.zeros(self.order, dtype=bool)
+            reached[self.mul[new][:, gens]] = True
+            new = np.flatnonzero(reached & ~in_span)
+            in_span[new] = True
+        return tuple(np.flatnonzero(in_span).tolist())
 
     def derived_subgroup(self):
         # comms[a, b] = a b (b a)^{-1}
@@ -324,18 +313,21 @@ def _word_table(g, gens):
     return table
 
 
-def is_isomorphic(g, h, node_budget=NODE_BUDGET):
-    """An isomorphism g -> h as an index map, or None.
+def is_isomorphic(g, h):
+    """An isomorphism g -> h as an index map, or None (at once when the
+    fingerprints differ)."""
+    if g.order != h.order or fingerprint(g) != fingerprint(h):
+        return None
+    return _isomorphism(g, h)
+
+
+def _isomorphism(g, h):
+    """An isomorphism between groups of equal fingerprints, or None.
 
     Backtracks over images of a greedy generating set, pruning candidates by
-    element order; a fingerprint mismatch short-circuits to None.  Raises
-    ``RuntimeError`` if the node budget is exhausted (never hit at the orders
-    this library targets).
+    element order.  Raises ``RuntimeError`` past ``NODE_BUDGET`` nodes
+    (never hit at the orders this library targets).
     """
-    if g.order != h.order:
-        return None
-    if fingerprint(g) != fingerprint(h):
-        return None
     if g.order == 1:
         return [0]
     g_orders = g.element_orders()  # each pick an element of largest order outside the span
@@ -348,8 +340,8 @@ def is_isomorphic(g, h, node_budget=NODE_BUDGET):
     nodes = 0
     for images in itertools.product(*candidates):
         nodes += 1
-        if nodes > node_budget:
-            raise RuntimeError("isomorphism search exceeded %d nodes" % node_budget)
+        if nodes > NODE_BUDGET:
+            raise RuntimeError("isomorphism search exceeded %d nodes" % NODE_BUDGET)
         phi = np.full(g.order, -1, dtype=np.int64)
         phi[g.id] = h.id
         for elem, parent, gi in words[1:]:
@@ -440,10 +432,11 @@ def group_from_spec(spec):
 
 def named_match(g, fp=None):
     """A display name for g among the families this library knows, or None;
-    an abelian g is named by the abelianization of ``fp``, its fingerprint,
-    when the caller has it."""
+    ``fp`` is g's fingerprint when the caller has it.  Only a candidate
+    with the same fingerprint is searched for an isomorphism."""
+    fp = fingerprint(g) if fp is None else fp
     if g.is_abelian():
-        invs = abelian_invariants(g) if fp is None else list(fp.abelianization)
+        invs = fp.abelianization
         if not invs:
             return "C1"
         return "x".join("C%d" % d for d in invs)
@@ -464,7 +457,7 @@ def named_match(g, fp=None):
             ("Q8xC%d" % c, direct_product(quaternion_group(), cyclic_group(c)))
         )
     for name, cand in candidates:
-        if is_isomorphic(g, cand) is not None:
+        if fingerprint(cand) == fp and _isomorphism(g, cand) is not None:
             return name
     return None
 

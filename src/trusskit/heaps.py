@@ -21,7 +21,6 @@ read at their smallest members, and the first cell where it is ill-defined.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +95,7 @@ class AbGroup:
         self.labels = _norm_labels(labels, self.order)
         self.zero = self._find_zero()
         self.neg = self._find_neg()
+        self._generators = None
         if check:
             self.law_report().raise_invalid()
 
@@ -130,13 +130,16 @@ class AbGroup:
         )
         return report
 
-    @cached_property
+    @property
     def generators(self):
         """A generating set with at most log2(order) members.
 
         Each pick is the smallest element outside the span so far, and the
         span grows by whole cosets of it, so it at least doubles per pick.
+        Cached in a slot that ``__init__`` sets, so the attribute layout is fixed.
         """
+        if self._generators is not None:
+            return self._generators
         in_span = np.zeros(self.order, dtype=bool)
         in_span[self.zero] = True
         span = np.array([self.zero])
@@ -150,9 +153,9 @@ class AbGroup:
                 parts.append(coset)
                 coset = self.add[coset, g]
             span = np.concatenate(parts)
-        gens = np.array(gens, dtype=np.int64)
-        gens.setflags(write=False)
-        return gens
+        self._generators = np.array(gens, dtype=np.int64)
+        self._generators.setflags(write=False)
+        return self._generators
 
     def sum_of(self, a, b):
         return int(self.add[a, b])
@@ -207,26 +210,27 @@ def _element_orders(op, e):
     """The order of each element under the group table ``op`` with identity ``e``.
 
     With p^a exactly dividing n = |G|, the p-part of o(x) is the order of
-    y = x^(n / p^a): the number of steps y -> y^p before y = e.  Powers come
-    by repeated squaring, log k gathers for x^k.
+    y = x^(n / p^a): the number of steps y -> y^p before y = e.
     """
     n, idx = len(op), np.arange(len(op))
-
-    def power(x, k):
-        out = np.full(n, e)
-        while k:
-            out, x, k = op[out, x] if k & 1 else out, op[x, x], k >> 1
-        return out
-
-    if (power(idx, n) != e).any():
+    if (power(op, idx, n, e) != e).any():
         raise ConsistencyError("element order exceeds group order")
     orders = np.ones(n, dtype=np.int64)
     for p, a in _prime_powers(n):
-        y = power(idx, n // p ** a)
+        y = power(op, idx, n // p ** a, e)
         for _ in range(a):
             orders[y != e] *= p
-            y = power(y, p)
+            y = power(op, y, p, e)
     return orders
+
+
+def power(op, x, k, e):
+    """x^k (k >= 0, elementwise for an array x) in the group table ``op``
+    with identity ``e``: repeated squaring, log k gathers."""
+    out = np.full(np.shape(x), e)
+    while k:
+        out, x, k = op[out, x] if k & 1 else out, op[x, x], k >> 1
+    return out
 
 
 def pair_table(a, b):

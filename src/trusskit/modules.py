@@ -111,27 +111,27 @@ def regular_module(t, check=False):
     return TModule(t, t.heap, t.mul, labels=t.labels, check=check)
 
 
-def trivial_module(t, heap, check=True):
+def trivial_module(t, heap):
     """Every truss element acts as the identity map."""
     action = np.tile(np.arange(heap.order), (t.order, 1))
-    return TModule(t, heap, action, check=check)
+    return TModule(t, heap, action)
 
 
-def zero_module(t, heap, e=None, check=True):
+def zero_module(t, heap, e=None):
     """Every truss element sends everything to ``e`` (default: the basepoint)."""
     if e is None:
         e = heap.basepoint
     action = np.full((t.order, heap.order), e, dtype=np.int64)
-    return TModule(t, heap, action, check=check)
+    return TModule(t, heap, action)
 
 
-def product_module(m1, m2, check=False):
+def product_module(m1, m2):
     """Componentwise action on the product heap; both factors share a truss."""
     if m1.truss is not m2.truss and m1.truss != m2.truss:
         raise ValueError("product module needs both factors over the same truss")
     heap = product_heap(m1.heap, m2.heap)
     action = (m1.action[:, :, None] * m2.order + m2.action[:, None, :]).reshape(m1.truss.order, -1)
-    return TModule(m1.truss, heap, action, check=check)
+    return TModule(m1.truss, heap, action, check=False)
 
 
 def induced_action(mod, t, e, x):
@@ -139,11 +139,11 @@ def induced_action(mod, t, e, x):
     return mod.heap.bracket(mod.act(t, x), mod.act(t, e), e)
 
 
-def induced_module(mod, e, check=True):
+def induced_module(mod, e):
     """The module (M, ._e); its carrier is unchanged and e is an absorber."""
     act = mod.action
     action = mod.heap.bracket_arrays(act, act[:, e][:, None], e)
-    return TModule(mod.truss, mod.heap, action, labels=mod.labels, check=check)
+    return TModule(mod.truss, mod.heap, action, labels=mod.labels)
 
 
 def absorbers(mod):

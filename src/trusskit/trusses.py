@@ -37,6 +37,7 @@ from .lawcheck import (
 
 TWO_SIDED = "two-sided"
 LEFT = "left"
+TRUSS_NODE_BUDGET = 200_000  # leaves ``truss_isomorphism`` may try
 
 
 class Truss:
@@ -533,7 +534,7 @@ def _truss_invariants(t):
     )
 
 
-def truss_isomorphism(t1, t2, node_budget=200_000):
+def truss_isomorphism(t1, t2):
     """A truss isomorphism t1 -> t2 as an index map, or None.
 
     A heap bijection sending e1 to e2 is a heap isomorphism exactly when it
@@ -563,8 +564,8 @@ def truss_isomorphism(t1, t2, node_budget=200_000):
         cand = [[int(v) for v in np.flatnonzero(orders2 == d)] for _, d in basis]
         for images in itertools.product(*cand):
             nodes += 1
-            if nodes > node_budget:
-                raise RuntimeError("truss isomorphism search exceeded %d nodes" % node_budget)
+            if nodes > TRUSS_NODE_BUDGET:
+                raise RuntimeError("truss isomorphism search exceeded %d nodes" % TRUSS_NODE_BUDGET)
             phi = map_from_basis_images(g2, basis, coords, images)
             if len(set(int(v) for v in phi)) != n:
                 continue

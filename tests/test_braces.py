@@ -13,6 +13,7 @@ from trusskit import (
     brace_from_truss,
     brace_ideals,
     brace_law_report,
+    closed_subheaps,
     extend,
     heap_from_group,
     ideal_cosets,
@@ -35,6 +36,11 @@ def za4_brace():
 
 def brace16():
     base = za_truss(2, 4)
+    return brace_from_truss(extend(base, regular_module(base), 0).truss)
+
+
+def brace64():
+    base = za_truss(2, 8)
     return brace_from_truss(extend(base, regular_module(base), 0).truss)
 
 
@@ -136,6 +142,23 @@ class TestIdeals:
     def test_ideal_enumeration_za4(self):
         b = za4_brace()
         assert brace_ideals(b) == [(0,), (0, 2), (0, 1, 2, 3)]
+
+    @pytest.mark.parametrize("build,count", [
+        (za4_brace, 3),
+        (lambda: brace_from_truss(za_truss(2, 8)), 4),
+        (brace16, 11),
+        (brace64, 19),
+    ], ids=["za(2,4)", "za(2,8)", "order16", "order64"])
+    def test_ideals_are_the_closed_subheaps_that_are_ideals(self, build, count):
+        """The closed sub-heaps through the identity under x -> [tx, t, 1]
+        and x -> [xt, t, 1] that pass ``is_brace_ideal`` are the ideals,
+        in the order ``brace_ideals`` lists them."""
+        b = build()
+        mul = b.mul.mul
+        want = [s for s in closed_subheaps(heap_from_group(b.add), b.identity, np.vstack((mul, mul.T)))
+                if is_brace_ideal(b, s)[0]]
+        assert brace_ideals(b) == want
+        assert len(want) == count
 
     def test_cosets(self):
         b = za4_brace()

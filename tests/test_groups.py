@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trusskit import (
     AbGroup,
@@ -9,9 +11,11 @@ from trusskit import (
     FiniteGroup,
     ValidationError,
     abelian_invariants,
+    brace_from_truss,
     cyclic_group,
     dihedral_group,
     direct_product,
+    extend,
     fingerprint,
     group_from_spec,
     group_from_units,
@@ -19,8 +23,11 @@ from trusskit import (
     named_group,
     named_match,
     quaternion_group,
+    regular_module,
+    za_truss,
     zn_truss,
 )
+from trusskit import groups
 from trusskit.groups import GroupFingerprint, abelian_basis, abelian_coordinates
 
 
@@ -332,3 +339,114 @@ class TestQuotientBy:
     def test_non_subgroup_rejected(self, members):
         with pytest.raises(ValueError, match="not a subgroup"):
             cyclic_group(4).quotient_by(members)
+
+
+def _closure_loops(g, seeds):
+    """Oracle: the depth-first closure that multiplies each new member by
+    every member found so far, on both sides."""
+    out = {g.id}
+    frontier = [g.id]
+    for s in sorted({int(s) for s in seeds}):
+        if s not in out:
+            out.add(s)
+            frontier.append(s)
+    while frontier:
+        x = frontier.pop()
+        for y in sorted(out):
+            for z in (int(g.mul[x, y]), int(g.mul[y, x])):
+                if z not in out:
+                    out.add(z)
+                    frontier.append(z)
+    return tuple(sorted(out))
+
+
+def _generators_loops(g, pick=np.argmin):
+    """Oracle: picks whose span grows from the span of the earlier picks."""
+    in_span = np.zeros(g.order, dtype=bool)
+    in_span[g.id] = True
+    gens = []
+    while not in_span.all():
+        gens.append(int(pick(in_span)))
+        new = np.flatnonzero(in_span)
+        while new.size:
+            new = np.unique(g.mul[np.ix_(new, gens)])
+            new = new[~in_span[new]]
+            in_span[new] = True
+    return gens
+
+
+def _brace_group(base):
+    """(B, .) of the extension brace of ``base`` by its regular module at 0."""
+    return brace_from_truss(extend(base, regular_module(base), 0).truss).mul
+
+
+# name -> (builder, named_match of the group)
+SPAN_GROUPS = {
+    "D8xC2": (lambda: group_from_spec("dihedral:8*cyclic:2"), "D8xC2"),
+    "Q8xC2": (lambda: group_from_spec("quaternion*cyclic:2"), "Q8xC2"),
+    "D6xD6": (lambda: group_from_spec("dihedral:6*dihedral:6"), None),
+    "C2^3": (lambda: group_from_spec("cyclic:2*cyclic:2*cyclic:2"), "C2xC2xC2"),
+    "C1": (lambda: cyclic_group(1), "C1"),
+    "brace16": (lambda: _brace_group(za_truss(2, 4)), "D8xC2"),
+    "brace64": (lambda: _brace_group(za_truss(2, 8)), None),
+}
+
+
+@functools.cache
+def _span_group(name):
+    return SPAN_GROUPS[name][0]()
+
+
+def _relabelled(g, seed):
+    perm = np.random.default_rng(seed).permutation(g.order)
+    inv = np.argsort(perm)
+    return FiniteGroup(perm[g.mul[np.ix_(inv, inv)]])
+
+
+class TestSpanAgainstTheLoops:
+    """``closure`` and ``generators`` share one array loop; every result
+    that rests on them matches the oracles above."""
+
+    @pytest.mark.parametrize("name", SPAN_GROUPS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_closure(self, name, data):
+        g = _span_group(name)
+        seeds = data.draw(st.one_of(st.just([]), st.just([g.id]),
+                                    st.lists(st.integers(0, g.order - 1), max_size=5)))
+        as_type = data.draw(st.sampled_from([list, set, lambda s: np.array(s, dtype=np.int64)]))
+        assert g.closure(as_type(seeds)) == _closure_loops(g, seeds)
+
+    @pytest.mark.parametrize("name", SPAN_GROUPS)
+    def test_generators_and_derived_subgroup(self, name):
+        g = _span_group(name)
+        orders = g.element_orders()
+        for pick in (np.argmin, lambda in_span: np.argmax(np.where(in_span, 0, orders))):
+            gens = g.generators(pick)
+            assert gens == _generators_loops(g, pick)
+            assert _closure_loops(g, gens) == tuple(range(g.order))
+        comms = {int(g.mul[g.mul[a, b], g.inv[g.mul[b, a]]])
+                 for a in range(g.order) for b in range(g.order)}
+        assert g.derived_subgroup() == _closure_loops(g, comms)
+
+    @pytest.mark.parametrize("name", SPAN_GROUPS)
+    def test_isomorphisms_and_names(self, name, monkeypatch):
+        g = _span_group(name)
+        partners = [_relabelled(g, seed) for seed in range(2)] + [
+            _span_group(other) for other in SPAN_GROUPS if _span_group(other).order == g.order]
+        found = [is_isomorphic(g, h) for h in partners]
+        assert named_match(g) == SPAN_GROUPS[name][1]
+        monkeypatch.setattr(FiniteGroup, "closure", _closure_loops)
+        monkeypatch.setattr(FiniteGroup, "generators", _generators_loops)
+        assert found == [is_isomorphic(g, h) for h in partners]
+        assert found[0] is not None and found[1] is not None
+        assert named_match(g) == SPAN_GROUPS[name][1]
+
+
+def test_identification_fingerprints_the_group_once(monkeypatch):
+    g = _span_group("D8xC2")
+    seen = []
+    original = groups.fingerprint
+    monkeypatch.setattr(groups, "fingerprint", lambda h: seen.append(h) or original(h))
+    assert groups.identification_report(g)["named_match"] == "D8xC2"
+    assert sum(h is g for h in seen) == 1

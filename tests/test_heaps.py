@@ -60,6 +60,13 @@ class TestAbGroup:
             AbGroup([[0, 1], [1, 5]])
         assert err.value.law == "group.closure"
 
+    def test_generators_cached_without_a_new_attribute(self):
+        g = z(2).direct_sum(z(4))
+        layout = list(vars(g))
+        gens = g.generators
+        assert list(vars(g)) == layout
+        assert g.generators is gens and list(gens) == [1, 4]
+
     def test_element_orders(self):
         g = z(6)
         assert list(g.element_orders()) == [1, 6, 3, 2, 3, 6]
