@@ -36,6 +36,7 @@ from .trusses import (
     LEFT,
     TWO_SIDED,
     Truss,
+    _paragon_reports,
     is_normal_paragon,
     is_paragon,
     units,
@@ -169,7 +170,7 @@ def socle(b):
     """Soc(B) = all a with ab = a + b for every b.
 
     Asserted to be an ideal, and every additive coset of it a paragon in the
-    associated truss.
+    associated truss (the distinct cosets, classified as one stack).
     """
     add, mul = b.add.add, b.mul.mul
     members = tuple(
@@ -179,12 +180,9 @@ def socle(b):
     if not ok:
         raise ConsistencyError("socle failed the ideal test")
     t = truss_from_brace(b)
-    sarr = np.array(members)
     need = ("left",) if b.sided == LEFT else ("two-sided", "ideal")
-    for c in range(b.order):
-        coset = sorted(int(v) for v in add[c, sarr])
-        if is_paragon(t, coset).kind not in need:
-            raise ConsistencyError("a socle coset is not a paragon in the truss")
+    if any(r.kind not in need for r in _paragon_reports(t, ideal_cosets(b, members))):
+        raise ConsistencyError("a socle coset is not a paragon in the truss")
     return members
 
 

@@ -362,31 +362,18 @@ def dihedral_group(order):
     if order < 2 or order % 2:
         raise ValueError("dihedral group needs an even order >= 2")
     n = order // 2
-    size = order
-
-    def mul(a, b):
-        r1, f1 = a % n, a // n
-        r2, f2 = b % n, b // n
-        r = (r1 + (n - r2 if f1 else r2)) % n
-        return (f1 ^ f2) * n + r
-
-    table = [[mul(a, b) for b in range(size)] for a in range(size)]
+    # element f n + r: (f, r)(g, r') = (f xor g, r + (-1)^f r')
+    f, r = np.divmod(np.arange(order), n)
+    table = (f[:, None] ^ f) * n + (r[:, None] + (1 - 2 * f[:, None]) * r) % n
     labels = ["r%d" % k for k in range(n)] + ["sr%d" % k for k in range(n)]
     return FiniteGroup(table, labels=labels)
 
 
 def quaternion_group():
     """The 8-element quaternion group, elements i^a j^b."""
-
-    def mul(x, y):
-        a, b = x % 4, x // 4
-        c, d = y % 4, y // 4
-        a2 = (a + (4 - c if b else c)) % 4
-        if b and d:
-            a2 = (a2 + 2) % 4
-        return ((b + d) % 2) * 4 + a2
-
-    table = [[mul(x, y) for y in range(8)] for x in range(8)]
+    # i^a j^b . i^c j^d = i^(a + (-1)^b c + 2 b d) j^(b + d), element 4 b + a
+    b, a = np.divmod(np.arange(8), 4)
+    table = (b[:, None] ^ b) * 4 + (a[:, None] + (1 - 2 * b[:, None]) * a + 2 * (b[:, None] & b)) % 4
     labels = ["1", "i", "-1", "-i", "j", "ij", "-j", "-ij"]
     return FiniteGroup(table, labels=labels)
 

@@ -24,6 +24,7 @@ from .heaps import (
     morphism_witness,
     quotient_heap,
     retract,
+    subheap_witness,
     _norm_labels,
     _square_table,
 )
@@ -204,15 +205,14 @@ class Paragon:
     """A verified sub-heap closed under the relative translates.
 
     ``kind`` is "left", "right", "two-sided" or "ideal".  Closure holds for
-    every q in the member set, not only the stored witness: on a sub-heap,
-    closure at one q implies it at every q (see ``is_paragon``).
+    every q in the member set: on a sub-heap, closure at one q implies it at
+    every q (see ``is_paragon``).
     """
 
-    def __init__(self, parent, members, kind, witness=None):
+    def __init__(self, parent, members, kind):
         self.parent = parent
         self.members = tuple(sorted(int(m) for m in members))
         self.kind = kind
-        self.witness = self.members[0] if witness is None else int(witness)
 
     def __len__(self):
         return len(self.members)
@@ -320,7 +320,7 @@ def paragons(t):
 
 
 def is_normal_paragon(t, p):
-    """True iff the left and right relative translates of P coincide:
+    """True iff the left and right relative translates of the sub-heap P coincide:
 
         {[xp, xq, q] : p in P}  ==  {[px, qx, q] : p in P}   for all x, q in P.
 
@@ -328,40 +328,47 @@ def is_normal_paragon(t, p):
     contains the identity it agrees with set-wise normality tP = Pt (taking
     q = 1 gives xP = Px for every x); unlike tP = Pt it survives shifting P
     along the heap, so every member of a quotient by an ideal (singletons
-    off-centre included) is normal.  Accepts a Paragon or a raw member set;
-    one-sided paragons are legitimate inputs (normality is a property of the
-    subset alone).
+    off-centre included) is normal.  Accepts a Paragon or a member set that
+    is a sub-heap (``ValueError`` otherwise); one-sided paragons are
+    legitimate inputs (normality is a property of the subset alone).
+
+    One q decides, q = min(P).  Write L_q(x) and R_q(x) for the two sets,
+    a = [xq', xq, q] and c = [q'x, qx, q]: then lambda_q'(x, p) =
+    [lambda_q(x, p), a, q'] and rho_q'(p, x) = [rho_q(p, x), c, q'], so
+    L_q'(x) = [L_q(x), a, q'] and R_q'(x) = [R_q(x), c, q'].  L_q(x) is a
+    sub-heap (the image of P under the heap morphism p -> [xp, xq, q]) that
+    holds a, and R_q(x) holds c; once the two sets are one sub-heap L,
+    l -> [l, c, a] maps L onto itself, so [L, c, q'] = [L, a, q'] at every
+    q'.  n |P| work and memory.
     """
     members = list(p.members) if isinstance(p, Paragon) else sorted({int(m) for m in p})
     if not members:
         raise ValueError("normality of the empty set is undefined")
-    n, k = t.order, len(members)
-    sarr = np.array(members)
-    xp = t.mul[:, sarr]  # [x, j] = x p_j
-    px = t.mul[sarr, :].T  # [x, j] = p_j x
-    # [i, x, j]: the translate of p_j relative to q = p_i
-    left = t.bracket_arrays(xp[None, :, :], xp.T[:, :, None], sarr[:, None, None])
-    right = t.bracket_arrays(px[None, :, :], px.T[:, :, None], sarr[:, None, None])
-    qi = np.arange(k)[:, None, None]
-    xi = np.arange(n)[None, :, None]
-    left_mask = np.zeros((k, n, n), dtype=bool)
-    right_mask = np.zeros((k, n, n), dtype=bool)
-    left_mask[qi, xi, left] = True
-    right_mask[qi, xi, right] = True
-    return bool(np.array_equal(left_mask, right_mask))
+    if subheap_witness(t, members) is not None:
+        raise ValueError("normality is defined on sub-heaps; the subset is not one")
+    n, q, sarr = t.order, members[0], np.array(members)
+    xs = np.arange(n)[:, None]
+    # [x, j]: lambda_q(x, p_j) and rho_q(p_j, x)
+    left = t.bracket_arrays(t.mul[:, sarr], t.mul[:, q][:, None], q)
+    right = t.bracket_arrays(t.mul[sarr].T, t.mul[q][:, None], q)
+    left_in = np.zeros((n, n), dtype=bool)
+    right_in = np.zeros((n, n), dtype=bool)
+    left_in[xs, left] = True
+    right_in[xs, right] = True
+    return bool(np.array_equal(left_in, right_in))
 
 
 # One body, two names: the benchmark's tracer (perfbench/tracer.py) looks up both.
 is_shift_normal = is_normal_paragon
 
 
-def _as_paragon(t, p, need=("two-sided", "ideal")):
+def _as_paragon(t, p):
     if isinstance(p, Paragon):
         if p.parent is not t:
             p = is_paragon(t, p.members).paragon
     else:
         p = is_paragon(t, p).paragon
-    if p is None or p.kind not in need:
+    if p is None or p.kind not in ("two-sided", "ideal"):
         raise ValueError("subset is not a paragon of the required kind")
     return p
 

@@ -16,6 +16,7 @@ from trusskit import (
     abelian_invariants,
     brace_from_truss,
     brace_ideals,
+    closed_subheaps,
     congruence_correspondence_report,
     congruences,
     cyclic_group,
@@ -31,7 +32,9 @@ from trusskit import (
     ideal_cosets,
     ideal_iff_normal_paragon,
     integer_paragon_probe,
+    is_brace_ideal,
     is_isomorphic,
+    is_normal_paragon,
     is_paragon,
     quotient_truss,
     regular_module,
@@ -276,7 +279,26 @@ def test_c10_socle_and_normal_paragons():
         rep = ideal_iff_normal_paragon(b16, subset, truss=t16)
         assert rep.ok, rep.render()
         checked += 1
-    _passed(10, "socle/ideal/normal-paragon equivalences verified on %d subsets" % checked)
+
+    # Every subset of the order-16 and order-64 extension braces at once.  The
+    # paragons through q are the closed sub-heaps through q under x -> [tx, tq, q]
+    # and [xt, qt, q]; a subset in neither family below fails both sides of
+    # both equivalences, so the family equalities decide all 2^n subsets.
+    b64 = brace_from_truss(extend(base8, regular_module(base8), 0).truss)
+    families = []
+    for b in (b16, b64):
+        t, heap, mul = truss_from_brace(b), heap_from_group(b.add), b.mul.mul
+        maps = np.vstack((mul, mul.T))
+        through_one = closed_subheaps(heap, b.identity, maps)
+        ideals = [s for s in through_one if is_brace_ideal(b, s)[0]]
+        assert ideals == [s for s in through_one if is_normal_paragon(t, s)]
+        members = {c for i in ideals for c in ideal_cosets(b, i)}
+        normal = {s for q in range(b.order) for s in closed_subheaps(heap, q, maps)
+                  if is_normal_paragon(t, s)}
+        assert members == normal
+        families.append("order %d: %d ideals, %d quotient members" % (b.order, len(ideals), len(members)))
+    _passed(10, "socle/ideal/normal-paragon equivalences verified on %d subsets, and on every "
+                "subset by family equality (%s)" % (checked, "; ".join(families)))
 
 
 def test_c11_integer_probes():

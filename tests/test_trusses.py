@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from trusskit.catalog import (
     trunc_poly_truss,
 )
 from trusskit.groups import cyclic_group
+from trusskit.heaps import closed_subheaps, subheap_closure, subheap_relation_classes, subheap_witness
 
 
 class TestConstruction:
@@ -155,6 +157,10 @@ class TestParagons:
         t = zn_truss(4)
         assert is_normal_paragon(t, [1, 3])
 
+    def test_non_subheap_rejected(self):
+        with pytest.raises(ValueError, match="sub-heap"):
+            is_normal_paragon(zn_truss(4), [1, 2])
+
 
 def _loop_normal(t, members):
     """Oracle: the per-x set comparison of the relative translates."""
@@ -177,6 +183,25 @@ def _setwise_normal(t, members):
     )
 
 
+def _mask_normal(t, members):
+    """Oracle: the former predicate, one (|P|, n, n) left and right membership
+    mask over every q in P, compared as a whole."""
+    n, k = t.order, len(members)
+    sarr = np.array(members)
+    xp = t.mul[:, sarr]  # [x, j] = x p_j
+    px = t.mul[sarr, :].T  # [x, j] = p_j x
+    # [i, x, j]: the translate of p_j relative to q = p_i
+    left = t.bracket_arrays(xp[None, :, :], xp.T[:, :, None], sarr[:, None, None])
+    right = t.bracket_arrays(px[None, :, :], px.T[:, :, None], sarr[:, None, None])
+    qi = np.arange(k)[:, None, None]
+    xi = np.arange(n)[None, :, None]
+    left_mask = np.zeros((k, n, n), dtype=bool)
+    right_mask = np.zeros((k, n, n), dtype=bool)
+    left_mask[qi, xi, left] = True
+    right_mask[qi, xi, right] = True
+    return bool(np.array_equal(left_mask, right_mask))
+
+
 @functools.lru_cache(maxsize=None)
 def _normality_truss(name):
     if name == "brace8":
@@ -184,10 +209,28 @@ def _normality_truss(name):
     if name == "brace16":
         base = za_truss(2, 4)
         return truss_from_brace(brace_from_truss(extend(base, regular_module(base), 0).truss))
+    if name.startswith("end"):
+        return end_truss(AbGroup.cyclic(int(name[3:]))).truss
+    if name == "left":
+        return left_translation_truss()
+    if name == "za3_9":
+        return za_truss(3, 9)
+    if name == "poly1_3":
+        return trunc_poly_truss(1, 3).truss
     return zn_truss(int(name[1:]))
 
 
 NORMALITY_TRUSSES = ["brace8", "brace16"] + ["z%d" % n for n in range(1, 13)]
+# Order <= 16, with sub-heaps that are not normal (all but za3_9, poly1_3, z12)
+# and a left truss.
+SUBHEAP_TRUSSES = ["end2", "end3", "end4", "left", "za3_9", "poly1_3", "z12", "brace16"]
+
+
+def _every_subheap(t):
+    """Every coset of every subgroup of the retract at the basepoint."""
+    h = t.heap
+    subgroups = closed_subheaps(h, h.basepoint, np.arange(t.order)[None, :])
+    return [c for s in subgroups for c in subheap_relation_classes(h, s)]
 
 
 # Catalog trusses of order <= 12, with a left truss and a noncommutative one.
@@ -229,7 +272,11 @@ class TestNormalParagon:
     def test_matches_loop_oracle(self, data):
         t = _normality_truss(data.draw(st.sampled_from(NORMALITY_TRUSSES)))
         members = sorted(data.draw(st.sets(st.integers(0, t.order - 1), min_size=1)))
-        assert is_normal_paragon(t, members) == _loop_normal(t, members)
+        if subheap_witness(t, members) is None:
+            assert is_normal_paragon(t, members) == _loop_normal(t, members)
+        else:
+            with pytest.raises(ValueError):
+                is_normal_paragon(t, members)
         if t.identity is None:
             return
         # on the sub-heap generated by the identity and a few more elements,
@@ -246,6 +293,35 @@ class TestNormalParagon:
         grown = sorted(grown)
         if is_paragon(t, grown).paragon is not None:
             assert is_normal_paragon(t, grown) == _setwise_normal(t, grown)
+
+    @pytest.mark.parametrize("name", SUBHEAP_TRUSSES)
+    def test_matches_mask_oracle_on_every_subheap(self, name):
+        t = _normality_truss(name)
+        subheaps = _every_subheap(t)
+        verdicts = [is_normal_paragon(t, s) for s in subheaps]
+        assert verdicts == [_mask_normal(t, s) for s in subheaps]
+        if name == "end4":
+            assert len(subheaps) == 75 and verdicts.count(False) == 59
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_mask_oracle_on_drawn_subheaps(self, data):
+        t = _normality_truss(data.draw(st.sampled_from(SUBHEAP_TRUSSES)))
+        elements = st.integers(0, t.order - 1)
+        q, seeds = data.draw(elements), data.draw(st.lists(elements, max_size=3))
+        members = subheap_closure(t.heap, q, np.arange(t.order)[None, :], seeds)
+        assert is_normal_paragon(t, members) == _mask_normal(t, members)
+
+    def test_units_of_z1024_in_bounded_memory(self):
+        t = zn_truss(1024)
+        us = units(t)
+        tracemalloc.start()
+        try:
+            assert is_normal_paragon(t, us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestZnMatch:
