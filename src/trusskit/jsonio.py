@@ -182,9 +182,7 @@ def _read(doc):
                 return None, report
             t = Truss(heap, doc["mul"], sided=doc.get("sided", TWO_SIDED), labels=labels,
                       check=False)
-            laws = truss_law_report(t)
-            t.lawful = laws.ok
-            report.extend(laws)
+            report.extend(truss_law_report(t))
             _declared(report, doc, "identity", t.identity)
             _declared(report, doc, "absorber", t.absorber)
             if "extension" not in doc:

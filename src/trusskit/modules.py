@@ -83,17 +83,22 @@ def module_law_report(mod, seed=None):
     associativity, by the truss's own laws: only when ``truss.lawful``
     says they were checked; otherwise s and t run over the whole truss.
     With the carrier law only, x runs over M's generators.  The truss-side
-    law is skipped for left trusses, where it is no law.  ``seed`` is ignored.
+    law is skipped for left trusses, where it is no law.  The regular
+    module (action ``mul`` on the truss's heap) reads ``truss.law_witnesses()``:
+    the same first witnesses, whatever ``lawful`` says.  ``seed`` is ignored.
     """
-    t, m = mod.truss.order, mod.order
-    report = Report("module laws (truss %d on carrier %d)" % (t, m))
+    truss, m = mod.truss, mod.order
+    report = Report("module laws (truss %d on carrier %d)" % (truss.order, m))
     if m == 0:
         report.note("empty carrier: laws hold vacuously")
         return report
-    w, carrier, bracket = _law_witnesses(mod.truss.mul, mod.action, mod.truss.heap,
-                                         mod.heap, mod.truss.sided, mod.truss.lawful)
+    if mod.action is truss.mul and mod.heap is truss.heap:
+        w, carrier, bracket = truss.law_witnesses()
+    else:
+        w, carrier, bracket = _law_witnesses(truss.mul, mod.action, truss.heap, mod.heap,
+                                             truss.sided, truss.lawful)
     report.add("module.associative", w is None, w)
-    if mod.truss.sided == TWO_SIDED:
+    if truss.sided == TWO_SIDED:
         report.add("module.truss_bracket", bracket is None,
                    None if bracket is None else bracket[1:] + bracket[:1])
     else:
@@ -106,7 +111,7 @@ def regular_module(t, check=False):
     """The truss acting on itself by multiplication.
 
     Lawful whenever the truss is (its laws are exactly the module laws), so
-    validation defaults to off.
+    validation defaults to off; its law report is the truss's kept scan.
     """
     return TModule(t, t.heap, t.mul, labels=t.labels, check=check)
 

@@ -39,15 +39,17 @@ from .lawcheck import (
 TWO_SIDED = "two-sided"
 LEFT = "left"
 TRUSS_NODE_BUDGET = 200_000  # leaves ``truss_isomorphism`` may try
+_HOLDS = (None, None, None)  # the witness triple of a lawful truss
 
 
 class Truss:
     """Heap plus multiplication table; ``sided`` is "two-sided" or "left".
 
-    Laws are verified exhaustively at construction (``truss_law_report``);
-    the identity and absorber are detected by table scan.  ``lawful``
-    records that the laws were checked: by ``check``, ``truss_from_ring`` or
-    a passing report in ``jsonio.validate``.
+    The identity and absorber are detected by table scan.  The laws are
+    scanned once per ``mul`` array and the witness triple kept
+    (``law_witnesses``): with ``check``, in ``truss_from_ring`` or at the
+    first ``truss_law_report``; a quotient of a lawful truss inherits it.
+    ``lawful`` says the kept triple is all None.
     """
 
     def __init__(self, heap, mul, sided=TWO_SIDED, labels=None, check=True):
@@ -62,9 +64,22 @@ class Truss:
         self.labels = _norm_labels(labels, self.order) or heap.labels
         self.identity = self._scan_identity()
         self.absorber = self._scan_absorber()
+        self._laws = None  # (mul, witness triple) of the one law scan
         if check:
             truss_law_report(self).raise_invalid()
-        self.lawful = bool(check)
+
+    @property
+    def lawful(self):
+        return self._laws is not None and self._laws[0] is self.mul and self._laws[1] == _HOLDS
+
+    def law_witnesses(self):
+        """(associative, left, right) witnesses of ``mul``, None where a law
+        holds: scanned on the first call for this ``mul`` array, then kept."""
+        if self._laws is None or self._laws[0] is not self.mul:
+            self._laws = (self.mul, _law_witnesses(self.mul, self.mul, self.heap, self.heap,
+                                                   self.sided, mul_lawful=True)
+                          if self.order else _HOLDS)
+        return self._laws[1]
 
     def _scan_identity(self):
         idx = np.arange(self.order)
@@ -137,15 +152,16 @@ def truss_law_report(t, seed=None):
     holds, the r + 1 generator rows decide the left law, and once both do,
     the (r + 1)^3 generator triples decide associativity.  With the left law
     only, x runs over the generators.  For left trusses the right law is
-    skipped and noted.  ``seed`` is ignored.
+    skipped and noted.  The witnesses are ``t.law_witnesses()``: the scan
+    runs once per table, and a repeated report reads its kept triple.
+    ``seed`` is ignored.
     """
-    n = t.order
+    n, mul = t.order, t.mul
     report = Report("truss laws (order %d)" % n)
+    assoc, left, right = t.law_witnesses()
     if n == 0:
         report.note("empty truss: laws hold vacuously")
         return report
-    mul = t.mul
-    assoc, left, right = _law_witnesses(mul, mul, t.heap, t.heap, t.sided, mul_lawful=True)
     report.add("truss.associative", assoc is None, assoc)
     report.add("truss.left_distributive", left is None, left)
     if t.sided == TWO_SIDED:
@@ -169,7 +185,7 @@ def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED):
     absorber"; a failure is reported as a ring instance (a, b, c) of
     a(b + c) != ab + ac (or its mirror).  Right law in full, left law on
     generator rows and associativity on generator triples, as in
-    ``truss_law_report``.
+    ``truss_law_report``.  The truss keeps that scan's triple.
     """
     if not isinstance(add, AbGroup):
         add = AbGroup(add)
@@ -187,7 +203,7 @@ def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED):
         if w is not None:
             raise ValidationError(law, (w[0], w[1], w[3]))
     t = Truss(heap, mul, sided=sided, labels=labels, check=False)
-    t.lawful = True
+    t._laws = (t.mul, _HOLDS)
     return t
 
 
@@ -378,7 +394,8 @@ def quotient_truss(t, p):
 
     Requires a two-sided truss and a (two-sided) paragon.  The class product
     is the one ``mul`` induces (``induced_table``, every pair checked);
-    identity and absorber classes propagate automatically.
+    identity and absorber classes propagate automatically.  A quotient of a
+    lawful truss, a homomorphic image, is lawful unscanned; otherwise it is scanned.
     """
     if t.sided != TWO_SIDED:
         raise ValueError("quotient of a left truss is out of scope; need two-sided")
@@ -387,7 +404,8 @@ def quotient_truss(t, p):
     qmul, w = induced_table(proj, proj[t.mul])
     if w is not None:
         raise ConsistencyError("class multiplication depends on representatives")
-    q = Truss(qheap, qmul, sided=t.sided, labels=qheap.labels)
+    q = Truss(qheap, qmul, sided=t.sided, labels=qheap.labels, check=not t.lawful)
+    q._laws = (q.mul, _HOLDS)  # inherited from t, or the check just passed
     if t.identity is not None and q.identity != int(proj[t.identity]):
         raise ConsistencyError("identity class is not the quotient identity")
     if t.absorber is not None and q.absorber != int(proj[t.absorber]):

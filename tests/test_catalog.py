@@ -6,6 +6,7 @@ import pytest
 from trusskit import (
     AbGroup,
     ConsistencyError,
+    FiniteGroup,
     Truss,
     abelian_invariants,
     cyclic_group,
@@ -33,6 +34,7 @@ from trusskit import (
 )
 from trusskit import catalog
 from trusskit.catalog import multiplicative_order_of_one
+from trusskit.lawcheck import associativity_witness
 
 
 class TestModularFamilies:
@@ -453,6 +455,25 @@ class TestParagonsAreCongruenceClasses:
             for p in found:
                 q, proj = quotient_truss(t, p)
                 assert q.order * len(p) == t.order, (name, p)
+
+    def test_inherited_verdicts_pass_a_full_check(self, ring_members):
+        """Quotients and unit groups of lawful trusses skip their law scans;
+        up to order 64, each passes the full scans it skipped."""
+        members = [(name, t, found) for name, _, t, found in ring_members]
+        members += [(name, t, paragons(t)) for name, t in _other_members()]
+        for name, t, found in members:
+            if t.order > 64:
+                continue
+            assert t.lawful, name
+            for p in found:
+                q, _ = quotient_truss(t, p)
+                assert q.lawful, (name, p)
+                full = Truss(q.heap, np.array(q.mul), sided=q.sided)  # check=True scans
+                assert associativity_witness(full.mul, full.mul) is None, (name, p)
+            if t.identity is not None:
+                g = group_from_units(t)
+                assert associativity_witness(g.mul, g.mul) is None, name
+                assert FiniteGroup(np.array(g.mul)).law_report().ok, name
 
     def test_order_256_counts(self, ring_members):
         counts = {name: len(found) for name, _, _, found in ring_members}

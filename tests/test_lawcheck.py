@@ -21,6 +21,7 @@ from trusskit import (
     Brace,
     ConsistencyError,
     FiniteGroup,
+    Heap,
     TModule,
     Truss,
     ValidationError,
@@ -34,14 +35,17 @@ from trusskit import (
     end_truss,
     extend,
     group_from_spec,
+    group_from_units,
     group_ring,
     heap_from_group,
     ideal_cosets,
     ideal_iff_normal_paragon,
     is_paragon,
     module_law_report,
+    paragons,
     product_module,
     quaternion_group,
+    quotient_truss,
     regular_module,
     subheap_witness,
     trivial_module,
@@ -55,7 +59,7 @@ from trusskit import (
     zn_ring,
     zn_truss,
 )
-from trusskit import trusses
+from trusskit import jsonio, modules, trusses
 from trusskit.catalog import left_translation_truss
 from trusskit.groups import abelian_coordinates
 from trusskit.heaps import heap_generators, induced_table, morphism_witness, retract
@@ -991,3 +995,157 @@ def test_catalog_law_reports_are_exhaustive(name, build):
     for report in (truss_law_report(t), module_law_report(regular_module(t))):
         assert [f.name for f in dataclasses.fields(Report)] == ["title", "checks", "notes"]
         assert report.ok, report.render()
+
+
+# ------------------------------------------------- one law scan per table
+
+HOLDS = (None, None, None)
+_LAW_WITNESSES = trusses._law_witnesses  # uncounted by the ``scans`` fixture
+
+
+def _fresh_scan(t):
+    """The law witnesses of ``t.mul`` from a new ``_law_witnesses`` run on a
+    copy, with s and t of associativity not reduced to generators."""
+    mul = np.array(t.mul)
+    return _LAW_WITNESSES(mul, mul, t.heap, t.heap, t.sided, mul_lawful=False)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The table sizes of the ``_law_witnesses`` runs made in the test."""
+    seen, original = [], trusses._law_witnesses
+
+    def counted(mul, *args, **kwargs):
+        seen.append(mul.shape[0])
+        return original(mul, *args, **kwargs)
+
+    monkeypatch.setattr(trusses, "_law_witnesses", counted)
+    monkeypatch.setattr(modules, "_law_witnesses", counted)
+    return seen
+
+
+class TestStoredVerdict:
+    """A truss keeps the witness triple of its one law scan; every path that
+    sets it stores what a fresh scan finds, and every reader gets it."""
+
+    @ORACLE
+    @given(st.data())
+    def test_check_true_and_check_false(self, data):
+        heap, mul, sided = _truss_table(data)
+        t = Truss(heap, mul, sided=sided, check=False)
+        assert not t.lawful and t._laws is None
+        fresh = _fresh_scan(t)
+        assert t.law_witnesses() == fresh
+        assert t.lawful == (fresh == HOLDS)
+        try:
+            checked = Truss(heap, mul, sided=sided)
+        except ValidationError as err:
+            assert fresh != HOLDS
+            assert err.witness in fresh
+        else:
+            assert fresh == HOLDS and checked.lawful and checked._laws[1] == HOLDS
+
+    @ORACLE
+    @given(st.data())
+    def test_truss_from_ring(self, data):
+        add, mul = data.draw(st.sampled_from(_rings()))
+        try:
+            t = truss_from_ring(add, _corrupt(data, mul, add.order))
+        except ValidationError:
+            return
+        assert t.lawful and t._laws[0] is t.mul
+        assert _fresh_scan(t) == HOLDS
+
+    @ORACLE
+    @given(st.data())
+    def test_jsonio_validate(self, data):
+        heap, mul, sided = _truss_table(data)
+        obj, report = jsonio.validate(jsonio.to_jsonable(Truss(heap, mul, sided=sided,
+                                                               check=False)))
+        assert obj._laws is not None and obj._laws[0] is obj.mul
+        assert obj._laws[1] == _fresh_scan(obj)
+        assert obj.lawful == report.ok
+
+    @ORACLE
+    @given(st.data())
+    def test_regular_module_matches_general_path(self, data):
+        """The regular module reads the truss's triple; the same action as a
+        copy takes the general path, which trusts the truss's laws only once
+        ``lawful`` holds.  Drawn in either order, so both trust states meet."""
+        heap, mul, sided = _truss_table(data)
+        t = Truss(heap, mul, sided=sided, check=False)
+        general = TModule(t, t.heap, t.mul.copy(), check=False)
+        regular = regular_module(t)
+        assert regular.action is t.mul and general.action is not t.mul
+        first, second = (regular, general) if data.draw(st.booleans()) else (general, regular)
+        one, two = module_law_report(first).to_dict(), module_law_report(second).to_dict()
+        assert one == two
+        # ``mul`` acting on another heap of the order is no regular module
+        groups = [g for g in GROUPS if g.order == t.order] + [retract(t.heap, t.order - 1)]
+        other = heap_from_group(data.draw(st.sampled_from(groups)))
+        mods = [TModule(t, other, act, check=False) for act in (t.mul, t.mul.copy())]
+        assert module_law_report(mods[0]).to_dict() == module_law_report(mods[1]).to_dict()
+
+    def test_one_scan_per_table_in_the_benchmark_pattern(self, scans):
+        builds = [lambda: trunc_poly_truss(1, 8).truss,
+                  lambda: group_ring(zn_ring(2), group_from_spec("dihedral:8")).ring.truss(),
+                  lambda: za_truss(2, 256)]
+        for build in builds:
+            scans.clear()
+            t = build()
+            assert truss_law_report(t).ok and module_law_report(regular_module(t)).ok
+            assert scans == [256]
+
+    def test_quotient_of_a_lawful_truss_is_not_scanned(self, scans):
+        t = zn_truss(64)
+        p = is_paragon(t, [u for u in range(64) if u % 2]).paragon
+        scans.clear()
+        q, _ = quotient_truss(t, p)
+        assert scans == [] and q.lawful and q.order == 2
+
+    def test_quotient_of_an_unchecked_truss_is_scanned(self, scans):
+        t = zn_truss(12)
+        unchecked = Truss(t.heap, t.mul, check=False)
+        scans.clear()
+        q, _ = quotient_truss(unchecked, paragons(unchecked)[1])
+        assert scans == [q.order] and q.lawful
+
+    def test_units_of_an_unchecked_truss_are_checked(self):
+        # Z_5 with a loop product, x x = 0 for every x: every element is a
+        # unit, and no group of order 5 has exponent 2
+        loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                [4, 3, 1, 2, 0]]
+        t = Truss(heap_from_group(AbGroup.cyclic(5)), loop, check=False)
+        with pytest.raises(ValidationError) as err:
+            group_from_units(t)
+        assert err.value.law == "group.associative"
+
+    def test_empty_truss_holds_vacuously(self, scans):
+        t = Truss(Heap.empty(), np.zeros((0, 0), dtype=np.int64))
+        report = truss_law_report(t)
+        assert report.checks == [] and report.notes == ["empty truss: laws hold vacuously"]
+        assert t.lawful and scans == []
+        assert not Truss(Heap.empty(), np.zeros((0, 0), dtype=np.int64), check=False).lawful
+
+    def test_lawful_has_no_setter(self):
+        t = zn_truss(4)
+        with pytest.raises(AttributeError):
+            t.lawful = False
+        assert t.lawful
+
+    def test_verdict_belongs_to_its_mul_array(self, scans):
+        t = zn_truss(4)
+        good, bad = t.mul, np.array(t.mul)
+        bad[1, 1] = 3
+        bad.setflags(write=False)
+        scans.clear()
+        t.mul = bad
+        assert not t.lawful
+        report = truss_law_report(t)
+        assert not report.ok and scans == [4]
+        assert _check(report, "truss.associative").witness == _fresh_scan(t)[0]
+        assert module_law_report(regular_module(t)).to_dict()["ok"] is False
+        assert scans == [4]  # the regular module read the new triple
+        t.mul = good
+        assert not t.lawful  # a verdict on another array does not carry back
+        assert truss_law_report(t).ok and t.lawful and scans == [4, 4]

@@ -34,7 +34,7 @@ from trusskit.catalog import end_truss, left_translation_truss, trunc_poly_truss
 from trusskit.extensions import extend
 from trusskit.heaps import closed_subheaps, subheap_relation_classes, subheap_witness
 from trusskit.trusses import Truss, opposite_truss
-from trusskit import jsonio
+from trusskit import jsonio, modules
 
 
 def _is_heap_congruence(heap, cls_of, rep_of):
@@ -171,6 +171,15 @@ class TestUncheckedTruss:
         mod = TModule(t, t.heap, (np.arange(4)[:, None] + np.arange(4)) % 4, check=False)
         failed = [(c.name, c.witness) for c in module_law_report(mod).failures()]
         assert failed == [("module.associative", (2, 0, 0))]  # 2.(0.0) = 2, (2.0).0 = 0
+
+    def test_unchecked_truss_is_not_trusted(self, monkeypatch):
+        seen, original = [], modules._law_witnesses
+        monkeypatch.setattr(modules, "_law_witnesses",
+                            lambda *args: seen.append(args[-1]) or original(*args))
+        t = self.shifted_truss()
+        mod = TModule(t, t.heap, (np.arange(4)[:, None] + np.arange(4)) % 4, check=False)
+        module_law_report(mod)
+        assert seen == [False]  # mul_lawful: s and t run over the whole truss
 
     def test_every_checking_path_marks_the_truss(self):
         assert zn_truss(4).lawful and za_truss(2, 8).lawful  # truss_from_ring, check=True
