@@ -13,7 +13,6 @@ quotient by a normal subgroup is the multiplication the cosets induce
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -419,26 +418,6 @@ def group_from_spec(spec):
     return g
 
 
-@functools.lru_cache(maxsize=16)
-def _named_candidates(order):
-    """(name, group, fingerprint) of each nonabelian family member of this
-    order that ``named_match`` knows, built and fingerprinted once per order
-    (for the 16 orders used last: an order-256 list holds 3.7 MB of tables)."""
-    candidates = []
-    if order >= 6 and order % 2 == 0:
-        candidates.append(("D%d" % order, dihedral_group(order)))
-    if order == 8:
-        candidates.append(("Q8", quaternion_group()))
-    for d in range(6, order, 2):
-        if order % d == 0:
-            c = order // d
-            candidates.append(("D%dxC%d" % (d, c), direct_product(dihedral_group(d), cyclic_group(c))))
-    if order % 8 == 0 and order > 8:
-        c = order // 8
-        candidates.append(("Q8xC%d" % c, direct_product(quaternion_group(), cyclic_group(c))))
-    return tuple((name, cand, fingerprint(cand)) for name, cand in candidates)
-
-
 def named_match(g, fp=None):
     """A display name for g among the families this library knows, or None;
     ``fp`` is g's fingerprint when the caller has it.  Only a candidate
@@ -449,8 +428,24 @@ def named_match(g, fp=None):
         if not invs:
             return "C1"
         return "x".join("C%d" % d for d in invs)
-    for name, cand, cand_fp in _named_candidates(g.order):
-        if cand_fp == fp and _isomorphism(g, cand) is not None:
+    candidates = []
+    if g.order >= 6 and g.order % 2 == 0:
+        candidates.append(("D%d" % g.order, dihedral_group(g.order)))
+    if g.order == 8:
+        candidates.append(("Q8", quaternion_group()))
+    for d in range(6, g.order, 2):
+        if g.order % d == 0:
+            c = g.order // d
+            candidates.append(
+                ("D%dxC%d" % (d, c), direct_product(dihedral_group(d), cyclic_group(c)))
+            )
+    if g.order % 8 == 0 and g.order > 8:
+        c = g.order // 8
+        candidates.append(
+            ("Q8xC%d" % c, direct_product(quaternion_group(), cyclic_group(c)))
+        )
+    for name, cand in candidates:
+        if fingerprint(cand) == fp and _isomorphism(g, cand) is not None:
             return name
     return None
 

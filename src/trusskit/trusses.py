@@ -46,9 +46,9 @@ class Truss:
     """Heap plus multiplication table; ``sided`` is "two-sided" or "left".
 
     The identity and absorber are detected by table scan.  The laws are
-    scanned once per ``mul`` array and the witness triple kept
-    (``law_witnesses``): with ``check``, in ``truss_from_ring`` or at the
-    first ``truss_law_report``; a quotient of a lawful truss inherits it.
+    scanned once and the witness triple kept (``law_witnesses``; ``mul`` is
+    read-only): with ``check``, in ``truss_from_ring`` or at the first
+    ``truss_law_report``; a quotient of a lawful truss inherits it.
     ``lawful`` says the kept triple is all None.
     """
 
@@ -64,22 +64,22 @@ class Truss:
         self.labels = _norm_labels(labels, self.order) or heap.labels
         self.identity = self._scan_identity()
         self.absorber = self._scan_absorber()
-        self._laws = None  # (mul, witness triple) of the one law scan
+        self._laws = None  # witness triple of the one law scan
         if check:
             truss_law_report(self).raise_invalid()
 
     @property
     def lawful(self):
-        return self._laws is not None and self._laws[0] is self.mul and self._laws[1] == _HOLDS
+        return self._laws == _HOLDS
 
     def law_witnesses(self):
         """(associative, left, right) witnesses of ``mul``, None where a law
-        holds: scanned on the first call for this ``mul`` array, then kept."""
-        if self._laws is None or self._laws[0] is not self.mul:
-            self._laws = (self.mul, _law_witnesses(self.mul, self.mul, self.heap, self.heap,
-                                                   self.sided, mul_lawful=True)
+        holds: scanned on the first call, then kept."""
+        if self._laws is None:
+            self._laws = (_law_witnesses(self.mul, self.mul, self.heap, self.heap,
+                                         self.sided, mul_lawful=True)
                           if self.order else _HOLDS)
-        return self._laws[1]
+        return self._laws
 
     def _scan_identity(self):
         idx = np.arange(self.order)
@@ -203,7 +203,7 @@ def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED):
         if w is not None:
             raise ValidationError(law, (w[0], w[1], w[3]))
     t = Truss(heap, mul, sided=sided, labels=labels, check=False)
-    t._laws = (t.mul, _HOLDS)
+    t._laws = _HOLDS
     return t
 
 
@@ -404,8 +404,11 @@ def quotient_truss(t, p):
     qmul, w = induced_table(proj, proj[t.mul])
     if w is not None:
         raise ConsistencyError("class multiplication depends on representatives")
-    q = Truss(qheap, qmul, sided=t.sided, labels=qheap.labels, check=not t.lawful)
-    q._laws = (q.mul, _HOLDS)  # inherited from t, or the check just passed
+    q = Truss(qheap, qmul, sided=t.sided, labels=qheap.labels, check=False)
+    if t.lawful:
+        q._laws = _HOLDS  # a homomorphic image of a lawful truss
+    else:
+        truss_law_report(q).raise_invalid()
     if t.identity is not None and q.identity != int(proj[t.identity]):
         raise ConsistencyError("identity class is not the quotient identity")
     if t.absorber is not None and q.absorber != int(proj[t.absorber]):

@@ -279,19 +279,6 @@ class TestNamedMatch:
         g = direct_product(dihedral_group(8), cyclic_group(2))
         assert named_match(g) == "D8xC2"
 
-    def test_candidates_are_built_once_per_order(self, monkeypatch):
-        built, original = [], groups.dihedral_group
-        monkeypatch.setattr(groups, "dihedral_group", lambda n: built.append(n) or original(n))
-        groups._named_candidates.cache_clear()
-        g = _span_group("brace64")  # (B, o) of the order-64 extension brace: no name
-        assert named_match(g) is None and built
-        built.clear()
-        assert named_match(g) is None and built == []
-        assert named_match(_relabelled(g, 1)) is None and built == []
-        names = [name for name, _, _ in groups._named_candidates(64)]
-        assert names == ["D64", "D8xC8", "D16xC4", "D32xC2", "Q8xC8"]
-        assert named_match(_span_group("brace16")) == "D8xC2"
-
 
 def _quotient_by_loops(g, normal_members):
     """The per-element quotient: normality as gN = Ng for every g, then the
