@@ -22,7 +22,7 @@ import numpy as np
 from .extensions import extend
 from .groups import FiniteGroup, abelian_coordinates, map_from_basis_images
 from .heaps import AbGroup, heap_from_group, induced_table, morphism_witness, pair_table
-from .lawcheck import ConsistencyError, Report, grid_witness
+from .lawcheck import ConsistencyError, Report, grid_witness, inherit
 from .modules import TModule
 from .trusses import Truss, is_paragon, quotient_truss, truss_from_ring, units
 
@@ -183,8 +183,9 @@ def _free_ring(base, basis_mul, term):
         mult = addt[mult, (scaled @ places)[digits[:, i]]]
     labels = ["+".join(filter(None, (term(int(c), i) for i, c in enumerate(row)))) or "0"
               for row in digits]
-    return digits, Ring(AbGroup(addt, labels=labels), mult, unital=base.unital,
-                        labels=tuple(labels))
+    # k copies of a lawful group sum to an abelian group; any other sum is scanned
+    add = inherit(AbGroup(addt, labels=labels, check=False), base.add.lawful, AbGroup.law_report)
+    return digits, Ring(add, mult, unital=base.unital, labels=tuple(labels))
 
 
 def group_ring(base, group):

@@ -22,11 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .heaps import induced_table, morphism_witness, product_heap
-from .lawcheck import (
-    ConsistencyError,
-    Report,
-    grid_witness,
-)
+from .lawcheck import ConsistencyError, Report, grid_witness, inherit
 from .modules import TModule, product_module, quotient_module, regular_module
 from .trusses import (
     LEFT,
@@ -154,11 +150,13 @@ def _anchor_isos(ext, anchors):
 def anchor_iso(ext, e2):
     """(ext2, phi): the isomorphism (t, x) -> (t, [x, e, e2]) onto the e2-anchored extension,
     verified by ``_anchor_isos``.  The e2-anchored table gets no law scan:
-    phi is an isomorphism from the validated extension, so it carries every law over.
+    phi carries every law over, so it keeps the extension's verdict when that holds.
     """
     tables, phis = _anchor_isos(ext, [e2])
     t1 = ext.truss
-    t2 = Truss(t1.heap, tables[0], sided=t1.sided, labels=t1.labels, check=False)
+    # phi is a verified isomorphism, so t2 is lawful when t1 is; unscanned otherwise
+    t2 = inherit(Truss(t1.heap, tables[0], sided=t1.sided, labels=t1.labels, check=False),
+                 t1.lawful)
     return ExtTruss(ext.base, ext.module, int(e2), t2), phis[0]
 
 

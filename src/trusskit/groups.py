@@ -13,6 +13,7 @@ quotient by a normal subgroup is the multiplication the cosets induce
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -418,33 +419,44 @@ def group_from_spec(spec):
     return g
 
 
+def _profile(base, c):
+    """The order profile of D_base (or Q8) x C_c in closed form: r^k in D_2n
+    has order n / gcd(k, n) and its n reflections order 2, Q8 has orders 1,
+    2 and six 4s, and a pair has the lcm of its parts' orders."""
+    n = 0 if base == "Q8" else base // 2
+    first = [1, 2] + [4] * 6 if base == "Q8" else [n // math.gcd(k, n) for k in range(n)] + [2] * n
+    pairs = (math.lcm(a, c // math.gcd(k, c)) for a in first for k in range(c))
+    return tuple(sorted(collections.Counter(pairs).items()))
+
+
 def named_match(g, fp=None):
     """A display name for g among the families this library knows, or None;
-    ``fp`` is g's fingerprint when the caller has it.  Only a candidate
-    with the same fingerprint is searched for an isomorphism."""
+    ``fp`` is g's fingerprint when the caller has it.  A candidate is built
+    only when its closed-form order profile (``_profile``) is g's, and only
+    one with the same fingerprint is searched for an isomorphism."""
     fp = fingerprint(g) if fp is None else fp
     if g.is_abelian():
         invs = fp.abelianization
         if not invs:
             return "C1"
         return "x".join("C%d" % d for d in invs)
-    candidates = []
-    if g.order >= 6 and g.order % 2 == 0:
-        candidates.append(("D%d" % g.order, dihedral_group(g.order)))
-    if g.order == 8:
-        candidates.append(("Q8", quaternion_group()))
-    for d in range(6, g.order, 2):
-        if g.order % d == 0:
-            c = g.order // d
-            candidates.append(
-                ("D%dxC%d" % (d, c), direct_product(dihedral_group(d), cyclic_group(c)))
-            )
-    if g.order % 8 == 0 and g.order > 8:
-        c = g.order // 8
-        candidates.append(
-            ("Q8xC%d" % c, direct_product(quaternion_group(), cyclic_group(c)))
-        )
-    for name, cand in candidates:
+    n, specs = g.order, []  # (dihedral order or "Q8", cyclic factor)
+    if n >= 6 and n % 2 == 0:
+        specs.append((n, 1))
+    if n == 8:
+        specs.append(("Q8", 1))
+    specs += [(d, n // d) for d in range(6, n, 2) if n % d == 0]
+    if n % 8 == 0 and n > 8:
+        specs.append(("Q8", n // 8))
+    for base, c in specs:
+        if _profile(base, c) != fp.order_profile:
+            continue
+        if base == "Q8":
+            name, cand = "Q8", quaternion_group()
+        else:
+            name, cand = "D%d" % base, dihedral_group(base)
+        if c > 1:
+            name, cand = "%sxC%d" % (name, c), direct_product(cand, cyclic_group(c))
         if fingerprint(cand) == fp and _isomorphism(g, cand) is not None:
             return name
     return None

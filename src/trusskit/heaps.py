@@ -24,13 +24,8 @@ import itertools
 
 import numpy as np
 
-from .lawcheck import (
-    ConsistencyError,
-    Report,
-    ValidationError,
-    associativity_witness,
-    grid_witness,
-)
+from .lawcheck import (HOLDS, ConsistencyError, Report, ValidationError, associativity_witness,
+                       grid_witness, inherit)
 
 
 def _int_table(table, what):
@@ -76,7 +71,7 @@ def _norm_labels(labels, n):
     if labels is None:
         return None
     try:
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(map(str, labels))
     except TypeError as exc:
         raise ValueError("labels must be a list: %s" % exc) from exc
     if len(labels) != n:
@@ -96,8 +91,13 @@ class AbGroup:
         self.zero = self._find_zero()
         self.neg = self._find_neg()
         self._generators = None
+        self._laws = None  # witnesses of the one law scan (``law_report``)
         if check:
             self.law_report().raise_invalid()
+
+    @property
+    def lawful(self):
+        return self._laws == HOLDS
 
     def _find_zero(self):
         hits = np.flatnonzero((self.add == np.arange(self.order)).all(axis=1))
@@ -117,17 +117,19 @@ class AbGroup:
 
     def law_report(self):
         """Commutativity, inverses, and associativity by Light's test:
-        (xa)y = x(ay) for a in {zero} plus ``generators`` decides it."""
+        (xa)y = x(ay) for a in {zero} plus ``generators`` decides it.  The
+        witnesses are scanned on the first call (or handed on by ``inherit``)
+        and kept: ``add`` is read-only."""
+        if self._laws is None:
+            mids = np.concatenate(([self.zero], self.generators))
+            self._laws = (grid_witness(self.add, self.add.T),
+                          associativity_witness(self.add, self.add, mids=mids),
+                          grid_witness(self.add[np.arange(self.order), self.neg], self.zero))
+        comm, assoc, inv = self._laws
         report = Report("group laws (order %d)" % self.order)
-        w = grid_witness(self.add, self.add.T)
-        report.add("group.commutative", w is None, w)
-        w = associativity_witness(self.add, self.add,
-                                  mids=np.concatenate(([self.zero], self.generators)))
-        report.add("group.associative", w is None, w)
-        report.add(
-            "group.inverse",
-            bool((self.add[np.arange(self.order), self.neg] == self.zero).all()),
-        )
+        report.add("group.commutative", comm is None, comm)
+        report.add("group.associative", assoc is None, assoc)
+        report.add("group.inverse", inv is None)
         return report
 
     @property
@@ -174,14 +176,15 @@ class AbGroup:
         add = (idx[:, None] + idx[None, :]) % n
         if labels is None:
             labels = [str(k) for k in range(n)]
-        return cls(add, labels=labels, check=False)
+        return inherit(cls(add, labels=labels, check=False), True)  # Z_n is an abelian group
 
     def direct_sum(self, other):
         add = pair_table(self.add, other.add)
         labels = None
         if self.labels and other.labels:
             labels = ["(%s,%s)" % (a, b) for a in self.labels for b in other.labels]
-        return AbGroup(add, labels=labels, check=False)
+        # a direct sum of abelian groups is an abelian group
+        return inherit(AbGroup(add, labels=labels, check=False), self.lawful and other.lawful)
 
     def __eq__(self, other):
         return (
@@ -306,8 +309,8 @@ def retract(h, e):
         return h.retract
     idx = np.arange(h.order)
     add = h.bracket_arrays(idx[:, None], e, idx[None, :])
-    # Lawful for any e by the heap axioms; revalidated by the property suite.
-    return AbGroup(add, labels=h.labels, check=False)
+    # x -> [x, basepoint, e] is an isomorphism onto it from the basepoint's retract
+    return inherit(AbGroup(add, labels=h.labels, check=False), h.retract.lawful)
 
 
 def heap_generators(h):
@@ -326,22 +329,23 @@ def heap_law_report(h):
 
     The bracket is stored as [a, b, c] = a - b + c in a retract, and a
     ternary operation of that form is an abelian heap exactly when the
-    retract is an abelian group: heap associativity and [a, b, c] = [c, b, a]
-    are then group identities.  So the group law report decides the heap
-    laws exhaustively; the Mal'cev checks (n^2) guard the stored negation.
+    retract is an abelian group: heap associativity, [a, b, c] = [c, b, a]
+    and the Mal'cev identities [a, a, b] = b = [b, a, a] are then group
+    identities.  So the group law report decides the heap laws exhaustively;
+    the Mal'cev grids (n^2) are scanned, for their witnesses, only when a
+    group law fails.
     """
     n = h.order
     report = Report("heap laws (order %d)" % n)
     if n == 0:
         report.note("empty heap: laws hold vacuously")
         return report
-    br = h.bracket_arrays
-    idx = np.arange(n)
-    w = grid_witness(br(idx[:, None], idx[:, None], idx[None, :]), idx[None, :])
-    report.add("heap.malcev", w is None, w)
-    w = grid_witness(br(idx[:, None], idx[None, :], idx[None, :]), idx[:, None])
-    report.add("heap.malcev_right", w is None, w)
-    return report.extend(h.retract.law_report())
+    group = h.retract.law_report()
+    rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
+    for name, mid, want in (("heap.malcev", rows, cols), ("heap.malcev_right", cols, rows)):
+        w = None if group.ok else grid_witness(h.bracket_arrays(rows, mid, cols), want)
+        report.add(name, w is None, w)
+    return report.extend(group)
 
 
 def validate_ternary_table(table):
@@ -562,7 +566,9 @@ def quotient_heap(h, s):
     if w is not None:
         raise ConsistencyError("quotient heap bracket is ill-defined")
     labels = ["{%s}" % ",".join(h.label_of(m) for m in cls) for cls in classes]
-    qheap = Heap(AbGroup(addq, labels=labels))
+    # a homomorphic image of a lawful group is lawful; any other quotient is scanned
+    qheap = Heap(inherit(AbGroup(addq, labels=labels, check=False), h.retract.lawful,
+                         AbGroup.law_report))
     if qheap.basepoint != proj[h.basepoint]:
         raise ConsistencyError("quotient basepoint is not the basepoint class")
     proj.setflags(write=False)

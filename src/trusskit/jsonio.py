@@ -37,10 +37,6 @@ from .modules import TModule, module_law_report
 from .trusses import TWO_SIDED, Truss, truss_law_report
 
 
-def _table(arr):
-    return [[int(v) for v in row] for row in arr]
-
-
 def _labels(obj):
     return None if obj.labels is None else list(obj.labels)
 
@@ -50,7 +46,7 @@ def to_jsonable(obj):
         return {
             "kind": "abgroup",
             "order": obj.order,
-            "add": _table(obj.add),
+            "add": obj.add.tolist(),
             "zero": obj.zero,
             "labels": _labels(obj),
         }
@@ -60,7 +56,7 @@ def to_jsonable(obj):
         return {
             "kind": "heap",
             "order": obj.order,
-            "add": _table(obj.retract.add),
+            "add": obj.retract.add.tolist(),
             "zero": obj.basepoint,
             "labels": _labels(obj),
         }
@@ -69,7 +65,7 @@ def to_jsonable(obj):
             "kind": "truss",
             "order": obj.order,
             "heap": to_jsonable(obj.heap),
-            "mul": _table(obj.mul),
+            "mul": obj.mul.tolist(),
             "sided": obj.sided,
             "identity": obj.identity,
             "absorber": obj.absorber,
@@ -80,15 +76,15 @@ def to_jsonable(obj):
             "kind": "tmodule",
             "truss": to_jsonable(obj.truss),
             "heap": to_jsonable(obj.heap),
-            "action": _table(obj.action),
+            "action": obj.action.tolist(),
             "labels": _labels(obj),
         }
     if isinstance(obj, Brace):
         return {
             "kind": "brace",
             "order": obj.order,
-            "add": _table(obj.add.add),
-            "mul": _table(obj.mul.mul),
+            "add": obj.add.add.tolist(),
+            "mul": obj.mul.mul.tolist(),
             "sided": obj.sided,
             "labels": _labels(obj),
         }
@@ -96,7 +92,7 @@ def to_jsonable(obj):
         return {
             "kind": "group",
             "order": obj.order,
-            "mul": _table(obj.mul),
+            "mul": obj.mul.tolist(),
             "labels": _labels(obj),
         }
     if isinstance(obj, ExtTruss):
@@ -155,7 +151,8 @@ def _declared(report, doc, field, value):
 
 def _read(doc):
     """The one dispatch on a checked document's kind: build with
-    ``check=False`` and collect the law reports."""
+    ``check=False`` and collect the law reports, whose verdicts the
+    structures keep, so that a quotient of one inherits them."""
     kind, labels = doc["kind"], doc.get("labels") or None
     report = Report("validate %s" % kind)
 

@@ -15,6 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+HOLDS = (None, None, None)  # the kept witnesses of a structure whose laws hold
+
+
+def inherit(obj, lawful, report=None):
+    """``obj``, built unscanned from a parent, keeps ``HOLDS`` if the parent is
+    ``lawful`` (the caller names the theorem), else ``report`` scans it, raising."""
+    if lawful:
+        obj._laws = HOLDS
+    elif report is not None:
+        report(obj).raise_invalid()
+    return obj
+
 
 class ValidationError(ValueError):
     """An operation table violates one of its defining laws."""

@@ -28,12 +28,7 @@ from .heaps import (
     subheap_relation_classes,
     subheap_witness,
 )
-from .lawcheck import (
-    ConsistencyError,
-    Report,
-    ValidationError,
-    grid_witness,
-)
+from .lawcheck import HOLDS, ConsistencyError, Report, ValidationError, grid_witness, inherit
 from .trusses import TWO_SIDED, _law_witnesses
 
 
@@ -53,12 +48,19 @@ class TModule:
         self.action = action
         self.order = heap.order
         self.labels = _norm_labels(labels, self.order) or heap.labels
+        self._laws = None  # witness triple of the one law scan
+        if action is truss.mul and heap is truss.heap:
+            self._laws = truss._laws  # the regular module: its laws are the truss's
         if check:
             module_law_report(self).raise_invalid()
         self.unital = (
             truss.identity is not None
             and bool((action[truss.identity] == np.arange(heap.order)).all())
         )
+
+    @property
+    def lawful(self):
+        return self._laws == HOLDS
 
     def act(self, t, x):
         return int(self.action[t, x])
@@ -85,18 +87,19 @@ def module_law_report(mod, seed=None):
     With the carrier law only, x runs over M's generators.  The truss-side
     law is skipped for left trusses, where it is no law.  The regular
     module (action ``mul`` on the truss's heap) reads ``truss.law_witnesses()``:
-    the same first witnesses, whatever ``lawful`` says.  ``seed`` is ignored.
+    the same first witnesses, whatever ``lawful`` says.  The witness triple
+    is scanned once and kept (``action`` is read-only).  ``seed`` is ignored.
     """
     truss, m = mod.truss, mod.order
     report = Report("module laws (truss %d on carrier %d)" % (truss.order, m))
+    if mod._laws is None:
+        regular = mod.action is truss.mul and mod.heap is truss.heap
+        mod._laws = (truss.law_witnesses() if regular else HOLDS if m == 0 else _law_witnesses(
+            truss.mul, mod.action, truss.heap, mod.heap, truss.sided, truss.lawful))
+    w, carrier, bracket = mod._laws
     if m == 0:
         report.note("empty carrier: laws hold vacuously")
         return report
-    if mod.action is truss.mul and mod.heap is truss.heap:
-        w, carrier, bracket = truss.law_witnesses()
-    else:
-        w, carrier, bracket = _law_witnesses(truss.mul, mod.action, truss.heap, mod.heap,
-                                             truss.sided, truss.lawful)
     report.add("module.associative", w is None, w)
     if truss.sided == TWO_SIDED:
         report.add("module.truss_bracket", bracket is None,
@@ -107,13 +110,13 @@ def module_law_report(mod, seed=None):
     return report
 
 
-def regular_module(t, check=False):
+def regular_module(t):
     """The truss acting on itself by multiplication.
 
-    Lawful whenever the truss is (its laws are exactly the module laws), so
-    validation defaults to off; its law report is the truss's kept scan.
+    Its laws are exactly the truss's, so it is built unscanned and shares
+    the truss's kept verdict.
     """
-    return TModule(t, t.heap, t.mul, labels=t.labels, check=check)
+    return TModule(t, t.heap, t.mul, labels=t.labels, check=False)
 
 
 def trivial_module(t, heap):
@@ -289,5 +292,7 @@ def quotient_module(mod, s):
     qact, w = induced_table(proj, proj[mod.action], axes=(1,))
     if w is not None:
         raise ConsistencyError("class action depends on representatives")
-    qmod = TModule(mod.truss, qheap, qact, labels=qheap.labels)
+    # a homomorphic image of a lawful module is lawful; any other quotient is scanned
+    qmod = inherit(TModule(mod.truss, qheap, qact, labels=qheap.labels, check=False), mod.lawful,
+                   module_law_report)
     return qmod, proj

@@ -28,18 +28,12 @@ from .heaps import (
     _norm_labels,
     _square_table,
 )
-from .lawcheck import (
-    ConsistencyError,
-    Report,
-    ValidationError,
-    associativity_witness,
-    grid_witness,
-)
+from .lawcheck import (HOLDS, ConsistencyError, Report, ValidationError, associativity_witness,
+                       grid_witness, inherit)
 
 TWO_SIDED = "two-sided"
 LEFT = "left"
 TRUSS_NODE_BUDGET = 200_000  # leaves ``truss_isomorphism`` may try
-_HOLDS = (None, None, None)  # the witness triple of a lawful truss
 
 
 class Truss:
@@ -48,7 +42,8 @@ class Truss:
     The identity and absorber are detected by table scan.  The laws are
     scanned once and the witness triple kept (``law_witnesses``; ``mul`` is
     read-only): with ``check``, in ``truss_from_ring`` or at the first
-    ``truss_law_report``; a quotient of a lawful truss inherits it.
+    ``truss_law_report``; a quotient, the opposite or a change of anchor of
+    a lawful truss inherits it (``lawcheck.inherit``).
     ``lawful`` says the kept triple is all None.
     """
 
@@ -70,7 +65,7 @@ class Truss:
 
     @property
     def lawful(self):
-        return self._laws == _HOLDS
+        return self._laws == HOLDS
 
     def law_witnesses(self):
         """(associative, left, right) witnesses of ``mul``, None where a law
@@ -78,7 +73,7 @@ class Truss:
         if self._laws is None:
             self._laws = (_law_witnesses(self.mul, self.mul, self.heap, self.heap,
                                          self.sided, mul_lawful=True)
-                          if self.order else _HOLDS)
+                          if self.order else HOLDS)
         return self._laws
 
     def _scan_identity(self):
@@ -202,9 +197,7 @@ def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED):
             raise ValidationError(law, (moved[0], zero, zero))
         if w is not None:
             raise ValidationError(law, (w[0], w[1], w[3]))
-    t = Truss(heap, mul, sided=sided, labels=labels, check=False)
-    t._laws = _HOLDS
-    return t
+    return inherit(Truss(heap, mul, sided=sided, labels=labels, check=False), True)  # just scanned
 
 
 def lambda_q(t, x, p, q):
@@ -404,11 +397,9 @@ def quotient_truss(t, p):
     qmul, w = induced_table(proj, proj[t.mul])
     if w is not None:
         raise ConsistencyError("class multiplication depends on representatives")
-    q = Truss(qheap, qmul, sided=t.sided, labels=qheap.labels, check=False)
-    if t.lawful:
-        q._laws = _HOLDS  # a homomorphic image of a lawful truss
-    else:
-        truss_law_report(q).raise_invalid()
+    # a homomorphic image of a lawful truss is lawful; any other quotient is scanned
+    q = inherit(Truss(qheap, qmul, sided=t.sided, labels=qheap.labels, check=False), t.lawful,
+                truss_law_report)
     if t.identity is not None and q.identity != int(proj[t.identity]):
         raise ConsistencyError("identity class is not the quotient identity")
     if t.absorber is not None and q.absorber != int(proj[t.absorber]):
@@ -607,4 +598,5 @@ def opposite_truss(t):
     if t.sided != TWO_SIDED:
         raise ValueError("the opposite of a left truss is a right truss, which is "
                          "represented only through opposite left modules")
-    return Truss(t.heap, t.mul.T, sided=TWO_SIDED, labels=t.labels, check=False)
+    # s.t := ts is a truss exactly when . is one (the laws swap sides); unscanned otherwise
+    return inherit(Truss(t.heap, t.mul.T, sided=TWO_SIDED, labels=t.labels, check=False), t.lawful)

@@ -399,3 +399,43 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     assert len(built) == 1
     assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0
     assert real() is not real()  # build_parser itself still returns a fresh parser
+
+
+# ``validate`` stdout on corrupted group and heap documents, pinned byte for
+# byte: a heap whose group laws fail still gets its Mal'cev grids scanned.
+_PINNED_VALIDATE = {
+    "abgroup": """command: validate {path}
+structure structure: {{"kind": "abgroup", "order": 6, "zero": 0}}
+report: validate abgroup
+  [FAIL] group.commutative  witness=(2, 3)
+  [FAIL] group.associative  witness=(1, 1, 3)
+  [ok  ] group.inverse
+  [ok  ] declared_zero
+  result: FAIL
+""",
+    "heap": """command: validate {path}
+structure structure: {{"basepoint": 0, "kind": "heap", "order": 6}}
+report: validate heap
+  [ok  ] heap.malcev
+  [FAIL] heap.malcev_right  witness=(2, 3)
+  [FAIL] group.commutative  witness=(2, 3)
+  [FAIL] group.associative  witness=(1, 1, 3)
+  [ok  ] group.inverse
+  [ok  ] declared_zero
+  result: FAIL
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_VALIDATE))
+def test_validate_corrupted_group_documents_pinned(kind, tmp_path, capsys):
+    from trusskit import AbGroup, heap_from_group
+
+    g = AbGroup.cyclic(6)
+    doc = jsonio.to_jsonable(g if kind == "abgroup" else heap_from_group(g))
+    doc["add"][2][3] = 4  # Z_6 with 2 + 3 = 4: it keeps its zero and inverses only
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert out == _PINNED_VALIDATE[kind].format(path=path)

@@ -59,10 +59,14 @@ from trusskit import (
     zn_ring,
     zn_truss,
 )
-from trusskit import jsonio, modules, trusses
-from trusskit.catalog import left_translation_truss
+from trusskit import cli, jsonio, trusses
+from trusskit.catalog import Ring, _free_ring, left_translation_truss
+from trusskit.extensions import ExtTruss, anchor_iso, extension_clause_report
 from trusskit.groups import abelian_coordinates
-from trusskit.heaps import heap_generators, induced_table, morphism_witness, retract
+from trusskit.heaps import (closed_subheaps, heap_generators, heap_law_report, induced_table,
+                            morphism_witness, quotient_heap, retract)
+from trusskit.modules import quotient_module
+from trusskit.trusses import opposite_truss
 from trusskit.lawcheck import Report, associativity_witness
 from trusskit.trusses import ParagonReport
 
@@ -1010,20 +1014,6 @@ def _fresh_scan(t):
     return _LAW_WITNESSES(mul, mul, t.heap, t.heap, t.sided, mul_lawful=False)
 
 
-@pytest.fixture
-def scans(monkeypatch):
-    """The table sizes of the ``_law_witnesses`` runs made in the test."""
-    seen, original = [], trusses._law_witnesses
-
-    def counted(mul, *args, **kwargs):
-        seen.append(mul.shape[0])
-        return original(mul, *args, **kwargs)
-
-    monkeypatch.setattr(trusses, "_law_witnesses", counted)
-    monkeypatch.setattr(modules, "_law_witnesses", counted)
-    return seen
-
-
 class TestStoredVerdict:
     """A truss keeps the witness triple of its one law scan; every path that
     sets it stores what a fresh scan finds, and every reader gets it."""
@@ -1093,7 +1083,7 @@ class TestStoredVerdict:
             scans.clear()
             t = build()
             assert truss_law_report(t).ok and module_law_report(regular_module(t)).ok
-            assert scans == [256]
+            assert scans == [("truss", 256)]
 
     def test_quotient_of_a_lawful_truss_is_not_scanned(self, scans):
         t = zn_truss(64)
@@ -1107,7 +1097,7 @@ class TestStoredVerdict:
         unchecked = Truss(t.heap, t.mul, check=False)
         scans.clear()
         q, _ = quotient_truss(unchecked, paragons(unchecked)[1])
-        assert scans == [q.order] and q.lawful
+        assert scans == [("truss", q.order)] and q.lawful
 
     def test_units_of_an_unchecked_truss_are_checked(self):
         # Z_5 with a loop product, x x = 0 for every x: every element is a
@@ -1141,3 +1131,199 @@ class TestStoredVerdict:
             assert t.lawful
             with pytest.raises(ValueError):
                 t.mul[1, 1] = 3
+
+
+# ------------------------------------- verdicts handed on from a lawful parent
+
+def _fresh_group(g):
+    """The witness triple of g's group laws by brute force on a copy of its table."""
+    add = np.array(g.add)
+    return (_first(add != add.T), _first(_assoc_oracle(add, add)),
+            _first(add[np.arange(g.order), g.neg] != g.zero))
+
+
+def _fresh_module(mod):
+    t = mod.truss
+    return _LAW_WITNESSES(t.mul, np.array(mod.action), t.heap, mod.heap, t.sided,
+                          mul_lawful=False)
+
+
+def _unchecked_group(data, max_order=12):
+    """A group of ``GROUPS``, maybe corrupted, built unchecked and maybe
+    scanned; None when the corruption leaves no zero or inverse."""
+    g = data.draw(st.sampled_from([g for g in GROUPS if g.order <= max_order]))
+    try:
+        g = AbGroup(_corrupt(data, g.add, g.order), check=False)
+    except ValidationError:
+        return None
+    if data.draw(st.booleans()):
+        g.law_report()
+    return g
+
+
+def _handed_on(child, parent_lawful, fresh, report):
+    """A child holds ``HOLDS`` unscanned only from a lawful parent, and what
+    it reports after that equals a fresh scan of its table."""
+    assert (child._laws == HOLDS) == parent_lawful
+    report(child)
+    assert child._laws == fresh(child)
+
+
+class TestInheritedVerdicts:
+    """Quotient heaps and modules, direct sums, retracts, re-anchored and
+    opposite trusses keep a lawful parent's verdict without a scan; on
+    parents built unchecked from corrupted tables, they never do."""
+
+    @ORACLE
+    @given(st.data())
+    def test_direct_sum_and_retract(self, data):
+        g, h = _unchecked_group(data, 6), _unchecked_group(data, 6)
+        if g is None or h is None:
+            return
+        assert AbGroup.cyclic(data.draw(st.integers(1, 12))).lawful  # Z_n by theorem
+        _handed_on(g.direct_sum(h), g.lawful and h.lawful, _fresh_group, AbGroup.law_report)
+        try:
+            r = retract(heap_from_group(g), data.draw(st.integers(0, g.order - 1)))
+        except ValidationError:  # no zero or inverse at the new basepoint
+            assert not g.lawful
+            return
+        _handed_on(r, g.lawful, _fresh_group, AbGroup.law_report)
+
+    @ORACLE
+    @given(st.data())
+    def test_quotient_heap(self, data):
+        g = _unchecked_group(data)
+        if g is None:
+            return
+        a, x, members = data.draw(st.integers(0, g.order - 1)), g.zero, {g.zero}
+        for _ in range(g.order):  # the multiples of a: a subgroup, in a lawful group
+            x = int(g.add[x, a])
+            members.add(x)
+        try:
+            q, _ = quotient_heap(heap_from_group(g), sorted(members))
+        except (ValidationError, ConsistencyError):
+            assert not g.lawful
+            return
+        # handed on from a lawful group, else scanned: either way a fresh scan's
+        assert q.retract._laws == _fresh_group(q.retract)
+
+    @ORACLE
+    @given(st.data())
+    def test_free_ring_sum(self, data):
+        g = _unchecked_group(data, 4)
+        if g is None:
+            return
+        base = Ring(g, np.full((g.order, g.order), g.zero), unital=False)
+        try:
+            _, ring = _free_ring(base, cyclic_group(2).mul, lambda c, i: "")
+        except ValidationError:  # a sum of an unlawful group is scanned
+            assert not g.lawful
+            return
+        # handed on from a lawful group, else scanned: either way a fresh scan's
+        assert ring.add._laws == _fresh_group(ring.add)
+
+    @ORACLE
+    @given(st.data())
+    def test_quotient_module(self, data):
+        mod = data.draw(st.sampled_from(_modules()))
+        if data.draw(st.booleans()):
+            mod = TModule(mod.truss, mod.heap, _corrupt(data, mod.action, mod.order),
+                          check=False)
+            if data.draw(st.booleans()):
+                module_law_report(mod)
+        sets = closed_subheaps(mod.heap, mod.heap.basepoint, mod.action)
+        try:
+            q, _ = quotient_module(mod, data.draw(st.sampled_from(sets)))
+        except (ValueError, ConsistencyError):  # ValidationError is a ValueError
+            assert not mod.lawful
+            return
+        # handed on from a lawful module, else scanned: either way a fresh scan's
+        assert q._laws == _fresh_module(q)
+
+    @ORACLE
+    @given(st.data())
+    def test_opposite_truss(self, data):
+        heap, mul, _ = _truss_table(data)
+        t = Truss(heap, mul, check=False)
+        if data.draw(st.booleans()):
+            t.law_witnesses()
+        _handed_on(opposite_truss(t), t.lawful, _fresh_scan, truss_law_report)
+
+    @ORACLE
+    @given(st.data())
+    def test_anchor_iso(self, data):
+        t = data.draw(st.sampled_from([t for t in _trusses() if t.order <= 4]))
+        mod = data.draw(st.sampled_from([m for m in _modules() if m.truss is t]))
+        e, e2 = (data.draw(st.integers(0, mod.order - 1)) for _ in range(2))
+        ext = extend(t, mod, e)
+        if data.draw(st.booleans()):  # the same table, unchecked and maybe corrupted
+            mul = _corrupt(data, ext.truss.mul, ext.order)
+            ext = ExtTruss(t, mod, e, Truss(ext.truss.heap, mul, sided=t.sided, check=False))
+        try:
+            ext2, _ = anchor_iso(ext, e2)
+        except ConsistencyError:
+            assert not ext.truss.lawful
+            return
+        _handed_on(ext2.truss, ext.truss.lawful, _fresh_scan, truss_law_report)
+
+    @ORACLE
+    @given(st.data())
+    def test_documents_keep_their_reports(self, data):
+        g = _unchecked_group(data)
+        mod = data.draw(st.sampled_from(_modules()))
+        mod = TModule(mod.truss, mod.heap, _corrupt(data, mod.action, mod.order), check=False)
+        for obj, kept in ((g, lambda o: o), (heap_from_group(g), lambda o: o.retract),
+                          (mod, lambda o: o)):
+            if kept(obj) is None:
+                continue
+            got, report = jsonio.validate(jsonio.to_jsonable(obj))
+            if got is None:  # a nested truss or heap failed
+                continue
+            fresh = _fresh_module if isinstance(got, TModule) else _fresh_group
+            assert kept(got)._laws == fresh(kept(got))
+            assert kept(got).lawful == report.ok
+
+    @ORACLE
+    @given(st.data())
+    def test_malcev_by_theorem_matches_full_scan(self, data):
+        """Corrupted tables: the Mal'cev grids scanned whenever a group law
+        fails, so the report equals one that always scans them."""
+        g = _unchecked_group(data)
+        if g is None:
+            return
+        n, br = g.order, heap_from_group(g).bracket
+        pairs = list(itertools.product(range(n), repeat=2))
+        oracle = Report("heap laws (order %d)" % n)
+        for name, bad in (("heap.malcev", [(a, b) for a, b in pairs if br(a, a, b) != b]),
+                          ("heap.malcev_right", [(a, b) for a, b in pairs if br(a, b, b) != a])):
+            oracle.add(name, not bad, bad[0] if bad else None)
+        oracle.extend(AbGroup(np.array(g.add), check=False).law_report())
+        assert heap_law_report(heap_from_group(g)).to_dict() == oracle.to_dict()
+
+
+class TestScanCounts:
+    """Only the scans of an input or of a paper claim run; quotients and
+    direct sums built from lawful parents run none."""
+
+    def test_order_16_extension_clause_report(self, scans):
+        base = za_truss(2, 4)
+        mod = regular_module(base)
+        scans.clear()
+        _, report = extension_clause_report(base, mod, 0)
+        assert report.ok
+        # extend's T[M; e] laws and module_over_extension's: every fiber and
+        # module quotient, the product heap and the anchor changes inherit
+        assert scans == [("truss", 16), ("module", 16, 4)]
+
+    def test_trunc_poly_truss(self, scans):
+        tp = trunc_poly_truss(1, 6)
+        assert scans == [("truss", 64)]  # the ring scan; the 6-fold direct sum inherits
+        assert tp.ring.add.lawful and tp.truss.heap.retract.lawful
+
+    def test_quotient_command_inherits_from_the_document(self, scans, tmp_path, capsys):
+        path = tmp_path / "z8.json"
+        jsonio.write_file(path, zn_truss(8))
+        scans.clear()
+        assert cli.main(["quotient", str(path), "1,3,5,7"]) == 0
+        assert "quotient isomorphic to T(Z_2)" in capsys.readouterr().out
+        assert scans == [("group", 8), ("truss", 8)]  # the document's own reports

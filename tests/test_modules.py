@@ -139,7 +139,7 @@ class TestModuleLaws:
 
     def test_left_truss_regular_module_skips_truss_bracket_law(self):
         lt = left_translation_truss()
-        mod = regular_module(lt, check=True)
+        mod = regular_module(lt)
         rep = module_law_report(mod)
         assert rep.ok
         assert not any(c.name == "module.truss_bracket" for c in rep.checks)
@@ -401,8 +401,9 @@ class TestProductAndOpposite:
         # opposite of a noncommutative truss carries the right regular action
         base = extend(zn_truss(2), regular_module(zn_truss(2)), 0).truss
         opp = opposite_truss(base)
-        mod = regular_module(opp, check=True)
-        assert module_law_report(mod).ok
+        mod = regular_module(opp)
+        assert module_law_report(mod).ok and opp.lawful  # inherited from the checked base
+        assert Truss(opp.heap, np.array(opp.mul)).lawful  # check=True scans a copy
 
 
 # Catalog trusses of order <= 8, the left truss included.
@@ -423,7 +424,7 @@ def small_modules(draw):
     t = draw(st.sampled_from(SMALL_TRUSSES))
     kind = draw(st.sampled_from(["regular", "trivial", "zero", "induced", "product"]))
     if kind == "regular":
-        return regular_module(t, check=True)
+        return regular_module(t)
     if kind == "product":
         k = draw(st.sampled_from([h for h in CARRIERS if h.order * t.order <= 8]))
         return product_module(regular_module(t), trivial_module(t, k))
