@@ -31,6 +31,7 @@ from .lawcheck import (
     Report,
     ValidationError,
     grid_witness,
+    inherit,
 )
 from .trusses import (
     LEFT,
@@ -138,9 +139,8 @@ def brace_from_truss(t):
         raise ValueError(
             "truss is not brace-type; non-invertible elements: %s" % (missing,)
         )
-    one = t.identity
-    idx = np.arange(t.order)
-    add = AbGroup(t.bracket_arrays(idx[:, None], one, idx[None, :]), labels=t.labels)
+    # the retract of a lawful heap is an abelian group; any other is scanned
+    add = inherit(retract(t.heap, t.identity), t.heap.retract.lawful, AbGroup.law_report)
     mulgroup = FiniteGroup(t.mul, labels=t.labels)
     return Brace(add, mulgroup, sided=t.sided, labels=t.labels)
 
@@ -300,6 +300,8 @@ def units_brace(t):
     if w is not None:
         raise ValidationError("units.subheap", w, "unit set is not a sub-heap")
     labels = [t.label_of(u) for u in us]
-    add = AbGroup(restrict_table(retract(t.heap, t.identity).add, uarr), labels=labels)
+    # a sub-heap of a lawful heap restricts its retract to a subgroup; any other is scanned
+    add = inherit(AbGroup(restrict_table(retract(t.heap, t.identity).add, uarr), labels=labels,
+                          check=False), t.heap.retract.lawful, AbGroup.law_report)
     mulgroup = FiniteGroup(restrict_table(t.mul, uarr), labels=labels)
     return Brace(add, mulgroup, sided=t.sided, labels=labels)

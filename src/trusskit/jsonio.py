@@ -22,11 +22,17 @@ the kind's law reports, the declared ``zero``, ``identity`` and ``absorber``,
 and the ``extension`` (compared with T[M; e], not rebuilt) as named checks,
 and a law a constructor rejects as a failing check with its witness.
 ``from_jsonable`` is ``validate`` followed by ``Report.raise_invalid``.
+
+Files are read as bytes and decoded by ``orjson`` as strict UTF-8 JSON: NaN,
+Infinity, 1e999 and lone surrogates fail to parse, and integers beyond 64
+bits decode as floats.  Writing keeps the stdlib encoder's byte-stable output.
 """
 
 from __future__ import annotations
 
 import json
+
+import orjson
 
 from .braces import Brace, brace_law_report
 from .extensions import ExtTruss, as_extension
@@ -231,7 +237,7 @@ def dumps(obj):
 
 
 def loads(text):
-    return from_jsonable(json.loads(text))
+    return from_jsonable(orjson.loads(text))
 
 
 def write_file(path, obj):
@@ -241,11 +247,11 @@ def write_file(path, obj):
 
 def read_doc(path):
     """The JSON document in ``path``; ``ValueError`` with the byte offset if it does not parse."""
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
         raise ValueError("parse error in %s at byte %d: %s" % (path, exc.pos, exc.msg)) from exc
 
 

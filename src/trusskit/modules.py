@@ -139,7 +139,8 @@ def product_module(m1, m2):
         raise ValueError("product module needs both factors over the same truss")
     heap = product_heap(m1.heap, m2.heap)
     action = (m1.action[:, :, None] * m2.order + m2.action[:, None, :]).reshape(m1.truss.order, -1)
-    return TModule(m1.truss, heap, action, check=False)
+    # a product of modules is a module; a product with an unscanned factor stays unscanned
+    return inherit(TModule(m1.truss, heap, action, check=False), m1.lawful and m2.lawful)
 
 
 def induced_action(mod, t, e, x):

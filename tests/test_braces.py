@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from trusskit import (
     AbGroup,
@@ -21,13 +22,17 @@ from trusskit import (
     is_brace_ideal,
     is_normal_paragon,
     regular_module,
+    retract,
     socle,
+    subheap_witness,
     truss_from_brace,
     truss_from_ring,
+    units,
     units_brace,
     za_truss,
     zn_truss,
 )
+from trusskit.groups import restrict_table
 
 
 def za4_brace():
@@ -244,3 +249,56 @@ class TestUnitsBrace:
         tp = trunc_poly_truss(1, 2)
         b = units_brace(tp.truss)
         assert b.order == 2
+
+
+def _scanned_brace(t, units_only=False):
+    """``brace_from_truss(t)``, or ``units_brace(t)`` when ``units_only``, with
+    the additive group built by ``check=True``: every group law is scanned."""
+    idx = np.arange(t.order)
+    if units_only:
+        us = np.array(units(t))
+        labels, table = [t.label_of(u) for u in us], retract(t.heap, t.identity).add
+    else:
+        us, labels = idx, t.labels
+        table = t.bracket_arrays(idx[:, None], t.identity, idx[None, :])
+    add = AbGroup(restrict_table(table, us), labels=labels)
+    mul = FiniteGroup(restrict_table(t.mul, us), labels=labels)
+    return Brace(add, mul, sided=t.sided, labels=labels)
+
+
+def _outcome(build, t):
+    try:
+        b = build(t)
+    except ValueError as exc:  # ValidationError included
+        return type(exc).__name__, str(exc), getattr(exc, "law", None), getattr(exc, "witness", None)
+    return b.add.add.tolist(), b.mul.mul.tolist(), b.labels
+
+
+class TestCorruptedHeapBraces:
+    """On an unchecked truss whose heap is corrupted, the inherited additive
+    group is scanned and raises what the full scan of [x, 1, y] raises.
+    The corruption spares the basepoint's row and column: where the stored
+    zero is only a one-sided identity, [x, 0, y] differs from the stored
+    table, and the same law can fail at another witness."""
+
+    TRUSSES = (za_truss(2, 4), za_truss(2, 8), truss_from_brace(za4_brace()), zn_truss(8))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_full_scan(self, data):
+        t0 = data.draw(st.sampled_from(self.TRUSSES))
+        add, base = np.array(t0.heap.retract.add), t0.heap.basepoint
+        others = [v for v in range(t0.order) if v != base]
+        for _ in range(data.draw(st.integers(0, 2))):
+            i, j = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
+            add[i, j] = data.draw(st.integers(0, t0.order - 1))
+        try:
+            t = Truss(heap_from_group(AbGroup(add, check=False)), t0.mul, sided=t0.sided,
+                      labels=t0.labels, check=False)
+        except ValidationError:
+            assume(False)
+        if len(units(t)) == t.order:
+            assert _outcome(brace_from_truss, t) == _outcome(_scanned_brace, t)
+        if subheap_witness(t, units(t)) is None:
+            assert _outcome(units_brace, t) == _outcome(
+                lambda t: _scanned_brace(t, units_only=True), t)

@@ -6,6 +6,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,15 +272,39 @@ def _paths(node, path=()):
         yield from _paths(value, path + (key,))
 
 
-def _run_main(argv):
-    """(exit code, stderr) of one cli.main call; anything but SystemExit escapes."""
+def _main_streams(argv):
+    """(exit code, stdout, stderr) of one cli.main call; anything but SystemExit escapes."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit:
             code = None
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_main(argv):
+    """(exit code, stderr) of one cli.main call."""
+    code, _, err = _main_streams(argv)
+    return code, err
+
+
+def _mutated(data, values=json_values):
+    """A copy of one of ``FUZZ_DOCS`` with one entry, nested or not, dropped,
+    replaced by one of ``values`` or shortened."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCS)))
+    path, key = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    how = data.draw(st.sampled_from(["drop", "replace", "shorten"]))
+    if how == "drop":
+        del parent[key]
+    elif how == "replace":
+        parent[key] = data.draw(values)
+    elif isinstance(parent[key], list) and parent[key]:
+        parent[key] = parent[key][:-1]
+    return doc
 
 
 class TestErrorBoundary:
@@ -288,18 +313,7 @@ class TestErrorBoundary:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_mutated_documents(self, data):
-        doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCS)))
-        path, key = data.draw(st.sampled_from(list(_paths(doc))))
-        parent = doc
-        for step in path:
-            parent = parent[step]
-        how = data.draw(st.sampled_from(["drop", "replace", "shorten"]))
-        if how == "drop":
-            del parent[key]
-        elif how == "replace":
-            parent[key] = data.draw(json_values)
-        elif isinstance(parent[key], list) and parent[key]:
-            parent[key] = parent[key][:-1]
+        doc = _mutated(data)
         with tempfile.TemporaryDirectory() as tmp:
             doc_file = os.path.join(tmp, "doc.json")
             with open(doc_file, "w") as fh:
@@ -381,6 +395,113 @@ class TestErrorBoundary:
     def test_catalog_parameter_count(self, argv, message):
         code, err = _run_main(argv)
         assert code == 2 and message in err
+
+
+def _stdlib_read_doc(path):
+    """``jsonio.read_doc`` on the stdlib decoder, which accepts NaN, Infinity,
+    1e999 and lone surrogates and keeps integers of any size."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError("parse error in %s at byte %d: %s" % (path, exc.pos, exc.msg)) from exc
+
+
+def _verdict(doc):
+    """What ``jsonio.validate`` makes of a document: its checks, or the input error."""
+    try:
+        obj, report = jsonio.validate(doc)
+    except ValueError:
+        return "input error"
+    return type(obj).__name__, [(c.name, c.passed, c.witness) for c in report.checks]
+
+
+def _beyond_64_bits_as_floats(node):
+    """``node`` with each integer outside [-2**63, 2**64) made a float."""
+    if isinstance(node, dict):
+        return {k: _beyond_64_bits_as_floats(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_beyond_64_bits_as_floats(v) for v in node]
+    if type(node) is int and not -2 ** 63 <= node < 2 ** 64:
+        return float(node)
+    return node
+
+
+# JSON values plus what the stdlib writes and reads but standard JSON lacks
+lax_values = json_values | st.sampled_from([float("nan"), float("inf"), -float("inf"), "\ud800",
+                                            "a\udfff"])
+
+
+class TestReaderDifferential:
+    """The orjson reader against the stdlib decoder it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_verdicts_where_both_parse(self, data):
+        if data.draw(st.booleans()):
+            doc = _mutated(data, lax_values)
+        else:
+            doc = data.draw(st.sampled_from(FUZZ_DOCS))
+        text = json.dumps(doc, ensure_ascii=data.draw(st.booleans()))
+        with tempfile.TemporaryDirectory() as tmp:
+            doc_file = os.path.join(tmp, "doc.json")
+            try:
+                Path(doc_file).write_bytes(text.encode())
+            except UnicodeEncodeError:  # a lone surrogate has no raw UTF-8 form
+                Path(doc_file).write_text(json.dumps(doc))
+            old = _stdlib_read_doc(doc_file)
+            try:
+                new = jsonio.read_doc(doc_file)
+            except ValueError:  # NaN, infinities and lone surrogates fail at parse
+                self._assert_one_input_error(doc_file)
+                return
+            assert new == _beyond_64_bits_as_floats(old)
+            assert _verdict(new) == _verdict(old)
+            for command in ("validate", "identify"):
+                with mock.patch.object(jsonio, "read_doc", _stdlib_read_doc):
+                    before = _main_streams([command, doc_file])
+                assert _main_streams([command, doc_file])[:2] == before[:2]
+
+    @pytest.mark.parametrize("where, value", [
+        ("labels", "NaN"), ("labels", "Infinity"), ("labels", "-Infinity"),
+        ("labels", "1e999"), ("labels", '"\\ud800"'), ("zero", "NaN"),
+        ("add", str(2 ** 80)), ("mul", "1e999"),
+    ])
+    def test_non_standard_numbers_and_lone_surrogates_are_input_errors(self, where, value,
+                                                                      tmp_path):
+        doc = jsonio.to_jsonable(zn_truss(4))
+        if where == "labels":
+            doc["labels"] = ["SLOT", "1", "2", "3"]
+        elif where == "zero":
+            doc["heap"]["zero"] = "SLOT"
+        else:  # a table entry
+            (doc["heap"] if where == "add" else doc)[where][1][2] = "SLOT"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc).replace('"SLOT"', value))
+        self._assert_one_input_error(str(path))
+
+    @staticmethod
+    def _assert_one_input_error(doc_file):
+        for command in ("validate", "identify"):
+            code, out, err = _main_streams([command, doc_file])
+            assert code == 2 and out == ""
+            assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+    def test_raw_utf8_labels_read_as_their_escaped_twin(self, tmp_path):
+        doc = jsonio.to_jsonable(zn_truss(4))
+        doc["labels"] = doc["heap"]["labels"] = ["α", "β", "γ", "δ"]
+        escaped, raw = tmp_path / "escaped.json", tmp_path / "raw.json"
+        escaped.write_text(json.dumps(doc))
+        raw.write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+        assert "\\u03b1" in escaped.read_text() and "α".encode() in raw.read_bytes()
+        docs = [jsonio.read_doc(str(p)) for p in (escaped, raw)]
+        assert docs[0] == docs[1] == doc
+        assert _verdict(docs[0]) == _verdict(docs[1])
+        assert jsonio.read_file(raw).labels == ("α", "β", "γ", "δ")
+        assert jsonio.dumps(jsonio.read_file(raw)) == jsonio.dumps(jsonio.read_file(escaped))
+        outs = [_main_streams(["validate", str(p)])[1].replace(str(p), "PATH") for p in (escaped, raw)]
+        assert outs[0] == outs[1] and "result: PASS" in outs[0]
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

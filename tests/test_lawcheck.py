@@ -53,6 +53,7 @@ from trusskit import (
     truss_from_brace,
     truss_from_ring,
     truss_law_report,
+    units_brace,
     validate_ternary_table,
     za_truss,
     zero_module,
@@ -1327,3 +1328,19 @@ class TestScanCounts:
         assert cli.main(["quotient", str(path), "1,3,5,7"]) == 0
         assert "quotient isomorphic to T(Z_2)" in capsys.readouterr().out
         assert scans == [("group", 8), ("truss", 8)]  # the document's own reports
+
+    @pytest.mark.parametrize("build, order", [
+        (lambda: za_truss(2, 16), 16),
+        (lambda: extend(za_truss(2, 8), regular_module(za_truss(2, 8)), 0).truss, 64),
+        (lambda: truss_from_brace(brace_from_truss(za_truss(2, 8))), 8),
+    ])
+    def test_brace_of_a_lawful_truss_inherits_its_additive_group(self, scans, build, order):
+        t = build()
+        scans.clear()
+        b, u = brace_from_truss(t), units_brace(t)
+        assert scans == [] and b.add.lawful and u.add.lawful and b.order == u.order == order
+
+    def test_units_brace_of_a_lawful_truss_scans_no_group(self, scans):
+        t = zn_truss(256)
+        scans.clear()
+        assert units_brace(t).order == 128 and scans == []

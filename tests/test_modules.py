@@ -436,6 +436,30 @@ def small_modules(draw):
     return induced_module(regular_module(t), draw(st.integers(0, t.order - 1)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_module_inherits_its_factors_verdict(data):
+    """A product of lawful modules is lawful unscanned, and its report equals
+    a fresh scan of the same table; with an unscanned factor it stays unscanned."""
+    t = data.draw(st.sampled_from(SMALL_TRUSSES))
+
+    def factor():
+        heap = data.draw(st.sampled_from([h for h in CARRIERS if h.order <= 4]))
+        kind = data.draw(st.sampled_from(["regular", "trivial", "zero"]))
+        if kind == "regular":
+            return regular_module(t)
+        return trivial_module(t, heap) if kind == "trivial" else zero_module(t, heap)
+
+    m1, m2 = factor(), factor()
+    if data.draw(st.booleans()):
+        m1 = TModule(t, m1.heap, np.array(m1.action), check=False)
+    prod = product_module(m1, m2)
+    assert prod.lawful == (m1.lawful and m2.lawful)
+    assert prod.lawful or prod._laws is None
+    fresh = TModule(t, prod.heap, np.array(prod.action), check=False)
+    assert module_law_report(prod).to_dict() == module_law_report(fresh).to_dict()
+
+
 class TestEngineMatchesEnumeration:
     """The closure engine against the partition and subset oracles."""
 
