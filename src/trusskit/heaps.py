@@ -23,17 +23,27 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import orjson
 
 from .lawcheck import (HOLDS, ConsistencyError, Report, ValidationError, associativity_witness,
                        grid_witness, inherit)
+
+
+def _entry_types(table, ndim):
+    """The types of the entries of a 2-D or 3-D nested list, one Python step per entry."""
+    entries = itertools.chain.from_iterable(table)
+    if ndim == 3:
+        entries = itertools.chain.from_iterable(entries)
+    return set(map(type, entries))
 
 
 def _int_table(table, what):
     """``table`` as a contiguous int64 array.
 
     A float, bool or string entry is a ValueError, not cast to an integer.
-    Entries are checked when the table is 2-D or 3-D; the callers reject any
-    other shape.
+    Entries are checked when the table is 2-D or 3-D (callers reject other
+    shapes): one orjson serializer pass in C accepts a nested list of ints,
+    and a table it rejects takes the per-entry scan, which names the bad type.
     """
     try:
         arr = np.ascontiguousarray(table, dtype=np.int64)
@@ -42,10 +52,11 @@ def _int_table(table, what):
     if isinstance(table, np.ndarray):
         kinds = {table.dtype.type}
     elif arr.ndim in (2, 3):
-        entries = itertools.chain.from_iterable(table)
-        if arr.ndim == 3:
-            entries = itertools.chain.from_iterable(entries)
-        kinds = set(map(type, entries))
+        try:  # a bool, float, string or None writes bytes other than these
+            ints = not orjson.dumps(table).translate(None, b"0123456789-,[]")
+        except TypeError:  # a numpy scalar, an int beyond 64 bits, or no JSON type
+            ints = False
+        kinds = () if ints else _entry_types(table, arr.ndim)
     else:
         kinds = ()
     bad = sorted(k.__name__ for k in kinds

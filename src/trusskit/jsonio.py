@@ -252,7 +252,11 @@ def read_doc(path):
     try:
         return orjson.loads(data)
     except orjson.JSONDecodeError as exc:
-        raise ValueError("parse error in %s at byte %d: %s" % (path, exc.pos, exc.msg)) from exc
+        try:  # orjson counts characters; the message gives the UTF-8 byte offset
+            pos = len(data.decode()[:exc.pos].encode())
+        except UnicodeDecodeError as bad:  # not UTF-8: the offset of its first invalid byte
+            pos = bad.start
+        raise ValueError("parse error in %s at byte %d: %s" % (path, pos, exc.msg)) from exc
 
 
 def read_file(path):

@@ -72,6 +72,22 @@ class TestValidate:
             assert len(err) == 1 and err[0].startswith("input error: parse error in ")
             assert "at byte 18" in err[0]
 
+    @pytest.mark.parametrize("data, offset", [
+        ('{"α": [1,'.encode(), 10),  # the decoder counts 9 characters
+        ('{"α": [1, x]}'.encode(), 11),
+        ('{"😀": [1, x]}'.encode(), 13),
+        (b'{"a": "\xff"}', 7),  # not UTF-8: the first invalid byte, where the decoder says 0
+        (b'{"\xce\xb1": "\xce"}', 8),  # a truncated two-byte sequence after a whole one
+    ])
+    def test_parse_error_offset_counts_utf8_bytes(self, data, offset, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_bytes(data)
+        assert data[offset:offset + 1] in (b"", b"x", b"\xff", b"\xce")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: parse error in ")
+        assert "at byte %d:" % offset in err[0]
+
     def test_brace_and_group_files(self, tmp_path, capsys):
         from trusskit import brace_from_truss, dihedral_group
 
@@ -560,3 +576,51 @@ def test_validate_corrupted_group_documents_pinned(kind, tmp_path, capsys):
     code, out = run_cli(["validate", str(path)], capsys)
     assert code == 1
     assert out == _PINNED_VALIDATE[kind].format(path=path)
+
+
+# The order-128 and order-256 files of the CLI battery: each corrupted copy
+# changes one cell on the anti-diagonal, off the identity and absorber rows
+# and columns, so every law scan runs before the witness.  Pinned per order:
+# the identify names and the three [FAIL] lines.
+_LARGE_PINNED = {
+    128: (("C128", "C2xC32"), ("[FAIL] truss.associative  witness=(2, 21, 85)",
+                               "[FAIL] truss.left_distributive  witness=(42, 84, 0, 1)",
+                               "[FAIL] truss.right_distributive  witness=(85, 41, 0, 1)")),
+    256: (("C256", "C2xC64"), ("[FAIL] truss.associative  witness=(2, 85, 170)",
+                               "[FAIL] truss.left_distributive  witness=(85, 169, 0, 1)",
+                               "[FAIL] truss.right_distributive  witness=(170, 84, 0, 1)")),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_LARGE_PINNED))
+def test_cli_battery_on_large_files(n, tmp_path):
+    from trusskit import units
+
+    t = zn_truss(n)
+    good, bad = str(tmp_path / "good.json"), str(tmp_path / "bad.json")
+    jsonio.write_file(good, t)
+    doc = jsonio.to_jsonable(t)
+    row = n // 3
+    assert {row, n - 1 - row}.isdisjoint({t.identity, t.absorber})
+    doc["mul"][row][n - 1 - row] = (doc["mul"][row][n - 1 - row] + 5) % n
+    Path(bad).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    members = ",".join(map(str, units(t)))
+    names, fails = _LARGE_PINNED[n]
+
+    code, out, _ = _main_streams(["validate", good])
+    assert code == 0 and "[FAIL]" not in out and "result: PASS" in out
+    code, out, _ = _main_streams(["identify", good])
+    assert code == 0
+    assert "additive: named_match=%s " % names[0] in out
+    assert "units: named_match=%s " % names[1] in out
+    code, out, _ = _main_streams(["quotient", good, members])
+    assert code == 0 and "note: quotient isomorphic to T(Z_2)" in out
+
+    code, out, _ = _main_streams(["validate", bad])
+    assert code == 1
+    assert tuple(line.strip() for line in out.splitlines() if "[FAIL]" in line) == fails
+    witness = fails[0].split("witness=")[1]
+    for argv in (["identify", bad], ["quotient", bad, members]):
+        code, out, err = _main_streams(argv)
+        assert code == 1 and out == ""
+        assert err == "validation error: truss.associative fails at %s\n" % witness
