@@ -14,13 +14,12 @@ of its arguments: checking every residue mod n is exhaustive over Z.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .extensions import extend
-from .groups import FiniteGroup, abelian_coordinates, map_from_basis_images
+from .groups import FiniteGroup, homomorphisms
 from .heaps import AbGroup, heap_from_group, induced_table, morphism_witness, pair_table
 from .lawcheck import ConsistencyError, Report, grid_witness, inherit
 from .modules import TModule
@@ -338,20 +337,13 @@ def trunc_poly_truss(k, n):
 
 
 def endomorphism_maps(g):
-    """All additive self-maps of an abelian group, each as an index array.
-
-    An additive map is fixed by the images of an abelian basis, and the
-    image of a generator of order d ranges over the d-torsion.  Sorted by
-    map tuple, so the ordering is deterministic.
-    """
-    fg = FiniteGroup.from_abgroup(g)
-    basis, coords = abelian_coordinates(fg)
-    orders = fg.element_orders()
-    cands = [[y for y in range(g.order) if d % int(orders[y]) == 0] for _, d in basis]
-    maps = [map_from_basis_images(fg, basis, coords, images)
-            for images in itertools.product(*cands)]
-    maps.sort(key=lambda f: tuple(int(v) for v in f))
-    return maps
+    """All additive self-maps of an abelian group as index arrays, sorted:
+    the ``groups.homomorphisms`` that send each of ``g.generators`` to an
+    element whose order divides its own."""
+    orders = g.element_orders()
+    cands = [np.flatnonzero(orders[x] % orders == 0).tolist() for x in g.generators]
+    return sorted(homomorphisms([g.add], [g.add], [g.zero], [g.zero], g.generators, cands),
+                  key=lambda f: f.tolist())
 
 
 def end_truss(g):

@@ -79,7 +79,7 @@ def cmd_validate(args):
 def cmd_scan_units(args):
     n_max = args.max
     if n_max > 64:
-        raise SystemExit("scan bound is 64")
+        raise ValueError("scan bound is 64")
     report = Report("units paragon scan n = 2..%d" % n_max)
     hits = []
     for n in range(2, n_max + 1):
@@ -99,9 +99,9 @@ def cmd_extend(args):
     if isinstance(base, ExtTruss):
         base = base.truss
     if not isinstance(base, Truss) or not isinstance(module, TModule):
-        raise SystemExit("extend needs a truss file and a tmodule file")
+        raise ValueError("extend needs a truss file and a tmodule file")
     if module.truss != base:
-        raise SystemExit("module file is not a module over the base file")
+        raise ValueError("module file is not a module over the base file")
     ext, report = extension_clause_report(base, module, args.anchor)
     artifacts = {"extension": ext}
     if ext.truss.identity is not None and len(units(ext.truss)) == ext.order:
@@ -123,7 +123,7 @@ def _parse_subset(t, text):
         elif t.labels and name in t.labels:
             members.append(t.labels.index(name))
         else:
-            raise SystemExit("subset member %r is neither an index nor a label" % name)
+            raise ValueError("subset member %r is neither an index nor a label" % name)
     return members
 
 
@@ -132,7 +132,7 @@ def cmd_quotient(args):
     if isinstance(t, ExtTruss):
         t = t.truss
     if not isinstance(t, Truss):
-        raise SystemExit("quotient needs a truss file")
+        raise ValueError("quotient needs a truss file")
     members = _parse_subset(t, args.subset)
     report = Report("quotient by %s" % (tuple(members),))
     result = is_paragon(t, members)
@@ -160,7 +160,7 @@ def cmd_brace(args):
         b = obj
         report.extend(brace_law_report(b))
     else:
-        raise SystemExit("brace needs a truss or brace file")
+        raise ValueError("brace needs a truss or brace file")
     soc = socle(b)
     report.note("socle %s" % (soc,))
     report.note("additive group %s" % identification_report(
@@ -191,7 +191,7 @@ def cmd_identify(args):
         g = obj.retract if isinstance(obj, Heap) else obj
         out["additive"] = identification_report(FiniteGroup.from_abgroup(g))
     else:
-        raise SystemExit("cannot identify this structure kind")
+        raise ValueError("cannot identify this structure kind")
     for name, rep in sorted(out.items()):
         report.note("%s: named_match=%s fingerprint=%s" % (
             name, rep["named_match"], json.dumps(rep["fingerprint"], sort_keys=True)))
@@ -202,11 +202,8 @@ def cmd_identify(args):
 def _abgroup_from_spec(spec):
     parts = [int(p) for p in spec.replace("x", ",").split(",") if p]
     if not parts:
-        raise SystemExit("empty abelian group spec")
-    g = AbGroup.cyclic(parts[0])
-    for n in parts[1:]:
-        g = g.direct_sum(AbGroup.cyclic(n))
-    return g
+        raise ValueError("empty abelian group spec")
+    return functools.reduce(AbGroup.direct_sum, map(AbGroup.cyclic, parts))
 
 
 CATALOG_ARITY = {"zn": 1, "za": 2, "group-ring": 2, "trunc-poly": 2, "end": 1}
@@ -216,7 +213,7 @@ def cmd_catalog(args):
     family = args.family
     params = args.params
     if family not in CATALOG_ARITY:
-        raise SystemExit("unknown catalog family %r (families: %s)"
+        raise ValueError("unknown catalog family %r (families: %s)"
                          % (family, ", ".join(CATALOG_ARITY)))
     if len(params) != CATALOG_ARITY[family]:
         raise ValueError("catalog %s: expected %d parameter(s), got %d"

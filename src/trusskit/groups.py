@@ -1,14 +1,15 @@
-"""Cayley-table groups: validation, invariants, isomorphism search, named groups.
+"""Cayley-table groups: validation, invariants, the homomorphism search, named groups.
 
 Used to identify the multiplicative structures that show up downstream: unit
 groups of trusses, the additive retracts of heaps and the groups (B, .) of
-braces.  Groups here may be nonabelian; abelian ones get an invariant-factor
-decomposition, everything gets an isomorphism-invariant fingerprint, and
-isomorphism itself is decided by backtracking over generator images with
-fingerprint pruning.  ``FiniteGroup.closure`` is the one subgroup-span loop;
-``generators`` picks until the closure of its picks is everything.  A
-quotient by a normal subgroup is the multiplication the cosets induce
-(``heaps.induced_table``), and that check is also the normality test.
+braces.  Groups here may be nonabelian; abelian ones get their invariant
+factors, everything gets an isomorphism-invariant fingerprint.
+``homomorphisms`` is the one map search, over generator images, on any
+binary tables: group isomorphism, ``catalog.endomorphism_maps`` and
+``trusses.truss_isomorphism`` use it.  ``FiniteGroup.closure`` is the one
+subgroup-span loop; ``generators`` picks until the closure of its picks is
+everything.  A quotient by a normal subgroup is the multiplication the
+cosets induce (``heaps.induced_table``), and that check is the normality test.
 """
 
 from __future__ import annotations
@@ -74,15 +75,14 @@ class FiniteGroup:
         """Picks until every element is a product of picks; ``pick`` maps the
         span's mask to the next (default: the smallest element outside it).
         In a group each pick at least doubles the span: at most log2(order).
+        The span with the pick as seeds closes in fewer rounds than the picks.
         Not cached: a value stored in the instance dict slows every later
         attribute read of the group.
         """
-        in_span = np.zeros(self.order, dtype=bool)
-        in_span[self.id] = True
-        gens = []
+        in_span, gens = np.arange(self.order) == self.id, []
         while not in_span.all():
             gens.append(int(pick(in_span)))
-            in_span[list(self.closure(gens))] = True
+            in_span[list(self.closure(in_span.nonzero()[0].tolist() + gens[-1:]))] = True
         return gens
 
     @classmethod
@@ -205,42 +205,6 @@ def fingerprint(g):
     return GroupFingerprint(g.order, profile, center, derived, tuple(ab))
 
 
-def abelian_basis(g):
-    """Generators [(b_1, d_1), ...] with G the direct sum of the <b_i>.
-
-    Greedy splitting: take an element of maximal order, quotient by it, find
-    a basis of the quotient and lift each generator back to a complement
-    (adjusting inside the maximal cyclic so orders are preserved).  Invariant
-    factors come out ascending, d_1 | d_2 | ... | d_r.
-    """
-    if not g.is_abelian():
-        raise ValueError("abelian decomposition of a nonabelian group")
-    if g.order == 1:
-        return []
-    orders = g.element_orders()
-    a = int(np.argmax(orders))
-    d = int(orders[a])
-    powers = [g.id]
-    while len(powers) < d:
-        powers.append(int(g.mul[powers[-1], a]))
-    power_index = {p: k for k, p in enumerate(powers)}
-    quotient, proj = g.quotient_by(powers)
-    basis = []
-    for qgen, dq in abelian_basis(quotient):
-        x = int(np.flatnonzero(proj == qgen)[0])
-        y = g.power(x, dq)
-        m = power_index.get(y)
-        if m is None or m % dq != 0:
-            raise ConsistencyError("cyclic complement lift failed")
-        # x' = x - (m/dq) a keeps the same image in the quotient but has
-        # order exactly dq in g.
-        shift = g.inv[g.power(a, m // dq)]
-        x2 = int(g.mul[x, shift])
-        basis.append((x2, dq))
-    basis.append((a, d))
-    return basis
-
-
 def abelian_invariants(g, orders=None):
     """Invariant factors d_1 | d_2 | ... | d_r with product |G|.
 
@@ -264,55 +228,68 @@ def abelian_invariants(g, orders=None):
     return invs
 
 
-def abelian_coordinates(g):
-    """(basis, coords) where row coords[x] is x's tuple in the basis direct sum."""
-    basis = abelian_basis(g)
-    tups = np.array(list(itertools.product(*[range(d) for _, d in basis])), dtype=np.int64)
-    tups = tups.reshape(len(tups), len(basis))
-    elems = map_from_basis_images(g, basis, tups, [b for b, _ in basis])
-    if len(elems) != g.order or np.unique(elems).size != g.order:
-        raise ConsistencyError("abelian basis is not independent or does not span")
-    coords = np.empty_like(tups)
-    coords[elems] = tups
-    return basis, coords
+def closure_rounds(ops, known, new):
+    """Add ``new`` to the mask ``known`` and close it under the tables ``ops``
+    in place.  A step (k, a, b, p, at, y) per round and table k: p = ops[k][a, b]
+    on the known pairs with a factor new in the round, y = p[at] the elements first reached."""
+    steps, new, at = [], np.asarray(new, dtype=np.int64), np.full(known.size, -1)
+    known[new] = True
+    span = known.nonzero()[0]
+    while new.size:
+        i, j = np.divmod(np.arange(new.size * span.size), span.size)
+        a, b = np.concatenate((new[i], span[j])), np.concatenate((span[j], new[i]))
+        for k, op in enumerate(ops):
+            p = op[a, b]
+            at[p] = np.arange(p.size)  # a pair for each product; those of earlier steps are known
+            y = ((at >= 0) & ~known).nonzero()[0]
+            known[y] = True
+            steps.append((k, a, b, p, at[y], y))
+        new = np.concatenate([step[-1] for step in steps[-len(ops):]])
+        span = np.concatenate((span, new))
+    return steps
 
 
-def map_from_basis_images(h, basis, coords, images):
-    """The map sum_i k_i b_i -> sum_i k_i images[i] into the group ``h``, as an
-    index array; ``coords`` holds the k_i of each point in rows.  A
-    homomorphism when each image's order divides its basis element's."""
-    phi = np.full(len(coords), h.id, dtype=np.int64)
-    for (_, d), img, k in zip(basis, images, coords.T):
-        powers = np.empty(d, dtype=np.int64)
-        powers[0] = h.id
-        for j in range(1, d):
-            powers[j] = h.mul[powers[j - 1], img]
-        phi = h.mul[phi, powers[k]]
-    return phi
+def homomorphisms(ops1, ops2, first, images, gens, candidates, injective=False):
+    """Every index map that sends ``first`` to ``images``, ``gens[i]`` into
+    ``candidates[i]`` and preserves each table (``ops1[k]`` to ``ops2[k]``),
+    in the lexicographic order of the generator images.  ``first + gens``
+    generate the domain, each generator outside the closure of those before.
+    The generator-image backtrack (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005): level i closes ``first + gens[:i+1]``
+    (``closure_rounds``); per step one gather gives the images of its products,
+    which fix those of the elements reached and must match the rest (and be
+    distinct, with ``injective``).  A failing level prunes its subtree;
+    ``RuntimeError`` past ``NODE_BUDGET`` nodes."""
+    known, levels = np.zeros(len(ops1[0]), dtype=bool), []
+    for i, seeds in enumerate([list(first) + list(gens[:1])] + [[g] for g in gens[1:]]):
+        if i < len(gens) and (known[gens[i]] or gens[i] in first):
+            raise ValueError("generator %d lies in the closure of those before it" % gens[i])
+        levels.append((closure_rounds(ops1, known, seeds), known.nonzero()[0]))
+    if not known.all():
+        raise ValueError("the generators do not generate the domain")
+    phi, nodes = np.full(known.size, -1, dtype=np.int64), itertools.count(1)
 
+    def holds(steps, span):
+        for k, a, b, p, at, y in steps:
+            v = ops2[k][phi[a], phi[b]]
+            phi[y] = v[at]
+            if not (phi[p] == v).all():
+                return False
+        return not injective or len(set(phi[span].tolist())) == span.size
 
-def _word_table(g, gens):
-    """Discovery order of all elements as products of generators.
+    def search(i):
+        for c in candidates[i]:
+            if next(nodes) > NODE_BUDGET:
+                raise RuntimeError("homomorphism search exceeded %d nodes" % NODE_BUDGET)
+            phi[gens[i]] = c
+            if holds(*levels[i]):
+                yield from search(i + 1) if i + 1 < len(gens) else [phi.copy()]
 
-    Returns a list of (element, parent, gen_index); parent < 0 marks the
-    identity seed.
-    """
-    seen = {g.id}
-    table = [(g.id, -1, -1)]
-    frontier = [g.id]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, gen in enumerate(gens):
-                y = int(g.mul[x, gen])
-                if y not in seen:
-                    seen.add(y)
-                    table.append((y, x, gi))
-                    nxt.append(y)
-        frontier = nxt
-    if len(table) != g.order:
-        raise ConsistencyError("generators do not generate")
-    return table
+    phi[list(first)] = images
+    if len(gens):
+        yield from search(0)
+    elif holds(*levels[0]):
+        yield phi.copy()
 
 
 def is_isomorphic(g, h):
@@ -324,35 +301,13 @@ def is_isomorphic(g, h):
 
 
 def _isomorphism(g, h):
-    """An isomorphism between groups of equal fingerprints, or None.
-
-    Backtracks over images of a greedy generating set, pruning candidates by
-    element order.  Raises ``RuntimeError`` past ``NODE_BUDGET`` nodes
-    (never hit at the orders this library targets).
-    """
-    if g.order == 1:
-        return [0]
-    g_orders = g.element_orders()  # each pick an element of largest order outside the span
+    """An isomorphism between groups of equal fingerprints, or None: the first bijective
+    ``homomorphisms`` map, each greedy generator (largest order first) to one of its order."""
+    g_orders, h_orders = g.element_orders(), h.element_orders()
     gens = g.generators(lambda in_span: np.argmax(np.where(in_span, 0, g_orders)))
-    words = _word_table(g, gens)
-    h_orders = h.element_orders()
-    candidates = [
-        [int(v) for v in np.flatnonzero(h_orders == g_orders[gen])] for gen in gens
-    ]
-    nodes = 0
-    for images in itertools.product(*candidates):
-        nodes += 1
-        if nodes > NODE_BUDGET:
-            raise RuntimeError("isomorphism search exceeded %d nodes" % NODE_BUDGET)
-        phi = np.full(g.order, -1, dtype=np.int64)
-        phi[g.id] = h.id
-        for elem, parent, gi in words[1:]:
-            phi[elem] = h.mul[phi[parent], images[gi]]
-        if len(set(int(v) for v in phi)) != g.order:
-            continue
-        if (phi[g.mul] == h.mul[phi[:, None], phi[None, :]]).all():
-            return [int(v) for v in phi]
-    return None
+    cands = [np.flatnonzero(h_orders == g_orders[x]).tolist() for x in gens]
+    phi = next(homomorphisms([g.mul], [h.mul], [g.id], [h.id], gens, cands, injective=True), None)
+    return None if phi is None else phi.tolist()
 
 
 def cyclic_group(n):

@@ -8,12 +8,11 @@ of a ring-truss form a congruence class.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import FiniteGroup, abelian_coordinates, map_from_basis_images
+from .groups import closure_rounds, homomorphisms
 from .heaps import (
     AbGroup,
     SubHeap,
@@ -29,11 +28,10 @@ from .heaps import (
     _square_table,
 )
 from .lawcheck import (HOLDS, ConsistencyError, Report, ValidationError, associativity_witness,
-                       grid_witness, inherit)
+                       inherit)
 
 TWO_SIDED = "two-sided"
 LEFT = "left"
-TRUSS_NODE_BUDGET = 200_000  # leaves ``truss_isomorphism`` may try
 
 
 class Truss:
@@ -537,59 +535,48 @@ def odd_multiple_check(t):
     return True
 
 
-def _truss_invariants(t):
-    orders = np.sort(t.heap.retract.element_orders())
-    idempotents = int((np.diag(t.mul) == np.arange(t.order)).sum())
-    unit_count = len(units(t)) if t.identity is not None else 0
-    return (
-        t.order,
-        t.sided,
-        t.identity is not None,
-        t.absorber is not None,
-        tuple(int(v) for v in orders),
-        idempotents,
-        unit_count,
-        bool((t.mul == t.mul.T).all()),
-    )
+def _invariants(t, r):
+    """Per x, a row that isomorphisms fixing e = r.zero keep: the orders of x, xx and
+    x(xx) in the retract r, whether xx = x, |xT|, |Tx| and |{[xt, t, e] : t in T}|."""
+    idx, sq, orders = np.arange(t.order), np.diag(t.mul), r.element_orders()
+    widths = [(np.diff(np.sort(m, axis=1), axis=1) != 0).sum(axis=1) + 1
+              for m in (t.mul, t.mul.T, t.bracket_arrays(t.mul, idx, r.zero))]
+    return np.column_stack((orders, orders[sq], orders[t.mul[idx, sq]], sq == idx, *widths))
 
 
 def truss_isomorphism(t1, t2):
-    """A truss isomorphism t1 -> t2 as an index map, or None.
-
-    A heap bijection sending e1 to e2 is a heap isomorphism exactly when it
-    is a group isomorphism of the e1- and e2-retracts, so the search runs
-    over additive-basis images for each candidate image of a fixed anchor of
-    t1, checking the multiplication table at the leaves.  The identity and
-    absorber, when present, pin the anchor image.
-    """
-    if _truss_invariants(t1) != _truss_invariants(t2):
+    """A truss isomorphism t1 -> t2 as an index map, or None: the first bijective
+    ``groups.homomorphisms`` map of [retract addition, ``mul``] with e1 -> e2, as a heap
+    bijection sending e1 to e2 is a heap isomorphism exactly when it is one of the
+    retracts.  e1 is the identity, else the absorber (each pins e2), else the basepoint,
+    tried against every e2.  The generators are the retract's less each one the others
+    span, most candidates first; an image shares its generator's ``_invariants`` row,
+    and the sorted rows of t1 and t2 must agree."""
+    if ((t1.order, t1.sided, t1.identity is None, t1.absorber is None)
+            != (t2.order, t2.sided, t2.identity is None, t2.absorber is None)):
         return None
     n = t1.order
     if n == 0:
         return []
-    if t1.identity is not None:
-        anchor1, anchor2_candidates = t1.identity, [t2.identity]
-    elif t1.absorber is not None:
-        anchor1, anchor2_candidates = t1.absorber, [t2.absorber]
-    else:
-        anchor1, anchor2_candidates = t1.heap.basepoint, list(range(n))
-
-    basis, coords = abelian_coordinates(FiniteGroup.from_abgroup(retract(t1.heap, anchor1)))
-
-    nodes = 0
-    for e2 in anchor2_candidates:
-        g2 = FiniteGroup.from_abgroup(retract(t2.heap, e2))
-        orders2 = g2.element_orders()
-        cand = [[int(v) for v in np.flatnonzero(orders2 == d)] for _, d in basis]
-        for images in itertools.product(*cand):
-            nodes += 1
-            if nodes > TRUSS_NODE_BUDGET:
-                raise RuntimeError("truss isomorphism search exceeded %d nodes" % TRUSS_NODE_BUDGET)
-            phi = map_from_basis_images(g2, basis, coords, images)
-            if len(set(int(v) for v in phi)) != n:
-                continue
-            if (phi[t1.mul] == t2.mul[phi[:, None], phi[None, :]]).all():
-                return [int(v) for v in phi]
+    e1, e2s = ((t1.identity, [t2.identity]) if t1.identity is not None
+               else (t1.absorber, [t2.absorber]) if t1.absorber is not None
+               else (t1.heap.basepoint, range(n)))
+    r1 = retract(t1.heap, e1)
+    ops1, inv1, gens = [r1.add, t1.mul], _invariants(t1, r1), r1.generators.tolist()
+    gens = sorted(gens, key=lambda g: -(inv1 == inv1[g]).all(axis=1).sum())
+    for g in list(gens):
+        known = np.zeros(n, dtype=bool)
+        closure_rounds(ops1, known, [e1] + [h for h in gens if h != g])
+        gens = [h for h in gens if h != g or not known.all()]
+    for e2 in e2s:
+        r2 = retract(t2.heap, e2)
+        rows = np.unique(np.vstack((inv1, _invariants(t2, r2))), axis=0,
+                         return_inverse=True)[1].reshape(2, n)
+        if np.array_equal(np.sort(rows[0]), np.sort(rows[1])):
+            cands = [np.flatnonzero(rows[1] == rows[0, g]).tolist() for g in gens]
+            for phi in homomorphisms(ops1, [r2.add, t2.mul], [e1], [e2], gens, cands,
+                                     injective=True):
+                return phi.tolist()
     return None
 
 

@@ -112,9 +112,9 @@ class TestScanUnits:
         assert code == 0
         assert "paragon at n = [2, 4, 8, 16]" in out
 
-    def test_bound(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["scan-units", "--max", "100"])
+    def test_bound(self):
+        code, err = _run_main(["scan-units", "--max", "100"])
+        assert code == 2 and err == "input error: scan bound is 64\n"
 
 
 class TestExtendQuotientBrace:
@@ -132,10 +132,11 @@ class TestExtendQuotientBrace:
         ext = jsonio.read_file(out_json)
         assert ext.truss.order == 16
 
-    def test_extend_mismatched_module(self, z4_file, za24_files, capsys):
+    def test_extend_mismatched_module(self, z4_file, za24_files):
         _, mpath = za24_files
-        with pytest.raises(SystemExit, match="not a module over"):
-            main(["extend", z4_file, mpath, "0"])
+        code, err = _run_main(["extend", z4_file, mpath, "0"])
+        assert code == 2
+        assert err == "input error: module file is not a module over the base file\n"
 
     def test_quotient_named_match(self, z4_file, capsys):
         code, out = run_cli(["quotient", z4_file, "1,3"], capsys)
@@ -185,9 +186,11 @@ class TestCatalog:
         assert code == 0
         assert "result: PASS" in out
 
-    def test_unknown_family(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["catalog", "sporadic", "1"])
+    def test_unknown_family(self):
+        code, err = _run_main(["catalog", "sporadic", "1"])
+        assert code == 2
+        assert err == ("input error: unknown catalog family 'sporadic' "
+                       "(families: zn, za, group-ring, trunc-poly, end)\n")
 
     def test_json_emission(self, tmp_path, capsys):
         out_json = tmp_path / "zn.json"
@@ -398,6 +401,20 @@ class TestErrorBoundary:
                 code, err = _run_main([command, doc_file])
                 assert code == 2, (command, text, err)
                 assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["catalog", "end", "x"], "empty abelian group spec"),
+        (["quotient", "Z4", "foo"], "subset member 'foo' is neither an index nor a label"),
+        (["extend", "Z4", "Z4", "0"], "extend needs a truss file and a tmodule file"),
+        (["quotient", "MOD", "0"], "quotient needs a truss file"),
+        (["brace", "MOD"], "brace needs a truss or brace file"),
+        (["identify", "MOD"], "cannot identify this structure kind"),
+    ])
+    def test_malformed_argument_is_an_input_error(self, argv, message, z4_file, za24_files):
+        files = {"Z4": z4_file, "MOD": za24_files[1]}
+        code, out, err = _main_streams([files.get(a, a) for a in argv])
+        assert code == 2 and out == ""
+        assert err.startswith("input error: " + message) and err.count("\n") == 1, err
 
     def test_seed_option_is_gone(self):
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):

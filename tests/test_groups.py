@@ -28,7 +28,9 @@ from trusskit import (
     zn_truss,
 )
 from trusskit import groups
-from trusskit.groups import GroupFingerprint, abelian_basis, abelian_coordinates
+from trusskit.groups import GroupFingerprint
+
+from basis_oracle import abelian_basis, abelian_coordinates
 
 
 def order_profile(g):
