@@ -34,7 +34,6 @@ from .groups import (
     direct_product,
     fingerprint,
     group_from_spec,
-    group_from_units,
     is_isomorphic,
     named_group,
     named_match,
@@ -45,6 +44,7 @@ from .trusses import (
     ParagonReport,
     Truss,
     UnitsParagonReport,
+    group_from_units,
     inverse_in,
     is_brace_type,
     is_normal_paragon,

@@ -25,9 +25,7 @@ from .lawcheck import ConsistencyError, Report, grid_witness, inherit
 from .modules import TModule
 from .trusses import Truss, is_paragon, quotient_truss, truss_from_ring, units
 
-GROUP_RING_MAX_ORDER = 256
-TRUNC_POLY_MAX_ORDER = 256
-END_TRUSS_MAX_ORDER = 256
+MAX_ORDER = 256  # the largest group ring, truncated polynomial ring or end truss built
 
 
 @dataclass
@@ -36,7 +34,6 @@ class Ring:
 
     add: AbGroup
     mul: np.ndarray
-    unital: bool
     labels: tuple | None = None
     _truss: Truss | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -58,7 +55,7 @@ def zn_ring(n):
     idx = np.arange(n, dtype=np.int64)
     add = AbGroup.cyclic(n)
     mul = (idx[:, None] * idx[None, :]) % n
-    return Ring(add, mul, unital=True, labels=add.labels)
+    return Ring(add, mul, labels=add.labels)
 
 
 def zn_truss(n):
@@ -184,7 +181,7 @@ def _free_ring(base, basis_mul, term):
               for row in digits]
     # k copies of a lawful group sum to an abelian group; any other sum is scanned
     add = inherit(AbGroup(addt, labels=labels, check=False), base.add.lawful, AbGroup.law_report)
-    return digits, Ring(add, mult, unital=base.unital, labels=tuple(labels))
+    return digits, Ring(add, mult, labels=tuple(labels))
 
 
 def group_ring(base, group):
@@ -193,8 +190,8 @@ def group_ring(base, group):
     most significant)."""
     q, gn = base.order, group.order
     order = q ** gn
-    if order > GROUP_RING_MAX_ORDER:
-        raise ValueError("group ring order %d exceeds the bound %d" % (order, GROUP_RING_MAX_ORDER))
+    if order > MAX_ORDER:
+        raise ValueError("group ring order %d exceeds the bound %d" % (order, MAX_ORDER))
     radd, rmul, zero = base.add.add, base.mul, base.add.zero
 
     if group.labels and not all(s.isdigit() for s in group.labels):
@@ -314,8 +311,8 @@ def trunc_poly_truss(k, n):
         raise ValueError("need k >= 1 and n >= 1")
     q = 2 ** k
     order = q ** n
-    if order > TRUNC_POLY_MAX_ORDER:
-        raise ValueError("carrier order %d exceeds the bound %d" % (order, TRUNC_POLY_MAX_ORDER))
+    if order > MAX_ORDER:
+        raise ValueError("carrier order %d exceeds the bound %d" % (order, MAX_ORDER))
 
     def monomial(c, d):
         if c == 0:
@@ -355,9 +352,9 @@ def end_truss(g):
     (f, x)(f', x') = (f after f', x + f(x'))."""
     endos = np.array(endomorphism_maps(g), dtype=np.int64).reshape(-1, g.order)
     count, m = endos.shape
-    if count * m > END_TRUSS_MAX_ORDER:
+    if count * m > MAX_ORDER:
         raise ValueError("endomorphism extension order %d exceeds the bound %d"
-                         % (count * m, END_TRUSS_MAX_ORDER))
+                         % (count * m, MAX_ORDER))
     idx = np.arange(m)
     if not ((endos == g.zero).all(axis=1).any() and (endos == idx).all(axis=1).any()):
         raise ConsistencyError("zero or identity endomorphism missing")
@@ -371,7 +368,7 @@ def end_truss(g):
     if not (np.array_equal(endos[addt], sums) and np.array_equal(endos[mult], comps)):
         raise ConsistencyError("endomorphisms are not closed under sum and composition")
     labels = ["f%d" % i for i in range(count)]
-    ring = Ring(AbGroup(addt, labels=labels), mult, unital=True, labels=tuple(labels))
+    ring = Ring(AbGroup(addt, labels=labels), mult, labels=tuple(labels))
     t = ring.truss()
     module = TModule(t, heap_from_group(g), endos)
     ext = extend(t, module, int(g.zero))

@@ -29,21 +29,17 @@ from .catalog import (
     zn_truss,
 )
 from .extensions import ExtTruss, extension_clause_report
-from .groups import (
-    FiniteGroup,
-    group_from_spec,
-    group_from_units,
-    identification_report,
-)
+from .groups import FiniteGroup, group_from_spec, identification_report
 from .heaps import AbGroup, Heap
 from .lawcheck import Report, ValidationError
 from .modules import TModule
 from .trusses import (
     Truss,
+    group_from_units,
+    is_brace_type,
     is_paragon,
     is_zn_truss,
     quotient_truss,
-    units,
     units_paragon_report,
 )
 
@@ -93,18 +89,22 @@ def cmd_scan_units(args):
     return report, {}
 
 
+def _read_structure(path):
+    """The structure in a file; an extension is read as its truss."""
+    obj = jsonio.read_file(path)
+    return obj.truss if isinstance(obj, ExtTruss) else obj
+
+
 def cmd_extend(args):
-    base = jsonio.read_file(args.base)
+    base = _read_structure(args.base)
     module = jsonio.read_file(args.module)
-    if isinstance(base, ExtTruss):
-        base = base.truss
     if not isinstance(base, Truss) or not isinstance(module, TModule):
         raise ValueError("extend needs a truss file and a tmodule file")
     if module.truss != base:
         raise ValueError("module file is not a module over the base file")
     ext, report = extension_clause_report(base, module, args.anchor)
     artifacts = {"extension": ext}
-    if ext.truss.identity is not None and len(units(ext.truss)) == ext.order:
+    if is_brace_type(ext.truss):
         b = brace_from_truss(ext.truss)
         artifacts["brace"] = b
         report.note("brace-type: additive %s, multiplicative %s" % (
@@ -128,9 +128,7 @@ def _parse_subset(t, text):
 
 
 def cmd_quotient(args):
-    t = jsonio.read_file(args.file)
-    if isinstance(t, ExtTruss):
-        t = t.truss
+    t = _read_structure(args.file)
     if not isinstance(t, Truss):
         raise ValueError("quotient needs a truss file")
     members = _parse_subset(t, args.subset)
@@ -149,9 +147,7 @@ def cmd_quotient(args):
 
 
 def cmd_brace(args):
-    obj = jsonio.read_file(args.file)
-    if isinstance(obj, ExtTruss):
-        obj = obj.truss
+    obj = _read_structure(args.file)
     report = Report("brace bridge")
     if isinstance(obj, Truss):
         b = brace_from_truss(obj)
@@ -171,9 +167,7 @@ def cmd_brace(args):
 
 
 def cmd_identify(args):
-    obj = jsonio.read_file(args.file)
-    if isinstance(obj, ExtTruss):
-        obj = obj.truss
+    obj = _read_structure(args.file)
     report = Report("identify")
     out = {}
     if isinstance(obj, FiniteGroup):

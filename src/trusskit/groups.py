@@ -168,19 +168,6 @@ def restrict_table(table, members):
     return sub
 
 
-def group_from_units(truss):
-    """Multiplication table restricted to the units of a unital truss.  Over a
-    lawful truss associativity is inherited; closure, identity and inverses are checked."""
-    if truss.identity is None:
-        raise ValueError("truss has no identity; no unit group")
-    hit = truss.mul == truss.identity
-    members = np.flatnonzero((hit & hit.T).any(axis=1))
-    labels = None
-    if truss.labels:
-        labels = [truss.labels[m] for m in members]
-    return FiniteGroup(restrict_table(truss.mul, members), labels=labels, check=not truss.lawful)
-
-
 @dataclass(frozen=True)
 class GroupFingerprint:
     """Cheap isomorphism invariants; equal fingerprints are necessary for iso."""

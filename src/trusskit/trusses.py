@@ -2,8 +2,8 @@
 
 Covers two-sided and left trusses, paragons (the congruence classes of a
 truss, listed through the basepoint by ``paragons``), ideals, normal
-paragons, quotients, unit sets, and the reports that decide when the units
-of a ring-truss form a congruence class.
+paragons, quotients, unit sets and unit groups, and the reports that decide
+when the units of a ring-truss form a congruence class.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import closure_rounds, homomorphisms
+from .groups import FiniteGroup, closure_rounds, homomorphisms, restrict_table
 from .heaps import (
     AbGroup,
     SubHeap,
@@ -411,6 +411,17 @@ def units(t):
         raise ValueError("truss has no identity; units undefined")
     hit = t.mul == t.identity
     return tuple(int(v) for v in np.flatnonzero((hit & hit.T).any(axis=1)))
+
+
+def group_from_units(t):
+    """The group of ``units``: ``mul`` restricted to them and reindexed to
+    0..k-1, with their labels.  A lawful truss hands on associativity; any
+    other is scanned.  Closure, identity and inverses are checked either way."""
+    if t.identity is None:
+        raise ValueError("truss has no identity; no unit group")
+    us = units(t)
+    labels = [t.labels[u] for u in us] if t.labels else None
+    return FiniteGroup(restrict_table(t.mul, us), labels=labels, check=not t.lawful)
 
 
 def inverse_in(t, u):

@@ -1215,7 +1215,7 @@ class TestInheritedVerdicts:
         g = _unchecked_group(data, 4)
         if g is None:
             return
-        base = Ring(g, np.full((g.order, g.order), g.zero), unital=False)
+        base = Ring(g, np.full((g.order, g.order), g.zero))
         try:
             _, ring = _free_ring(base, cyclic_group(2).mul, lambda c, i: "")
         except ValidationError:  # a sum of an unlawful group is scanned
