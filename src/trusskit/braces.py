@@ -4,7 +4,8 @@ A brace is one carrier with an abelian group (+) and a group (.) sharing a
 neutral element, linked by a(b + c) = ab - a + ac (and the mirrored law when
 two-sided).  A unital truss whose every element is a unit is the same thing
 as a brace, and so is its unit set when that is a sub-heap (``units_brace``).
-A lawful truss over a lawful heap hands its verdict on to the brace it gives.
+A lawful truss hands its verdict on to the brace it gives, and a lawful brace
+to its truss: each ``lawful`` covers everything the structure is built from.
 The normal-paragon characterisation of brace ideals and the socle live here
 as well.  "Normal paragon" means the translate-stable normality of
 ``trusses.is_normal_paragon``: it agrees with tP = Pt on paragons that
@@ -28,6 +29,7 @@ from .heaps import (
     subheap_witness,
 )
 from .lawcheck import (
+    HOLDS,
     ConsistencyError,
     Report,
     ValidationError,
@@ -41,6 +43,7 @@ from .trusses import (
     _paragon_reports,
     is_normal_paragon,
     is_paragon,
+    truss_law_report,
     units,
 )
 
@@ -63,7 +66,8 @@ class Brace:
 
     The multiplicative identity must coincide with the additive zero; the
     distributivity laws are checked at construction (only the left law for
-    ``sided="left"``).
+    ``sided="left"``).  ``lawful`` covers the brace laws, whose witnesses
+    are kept, and both groups' laws.
     """
 
     def __init__(self, add, mulgroup, sided=TWO_SIDED, labels=None, check=True):
@@ -83,9 +87,14 @@ class Brace:
         self.order = add.order
         self.labels = _norm_labels(labels, self.order) or add.labels or mulgroup.labels
         self.identity = add.zero
+        self._laws = None  # (left, right, None) witnesses of the one brace-law scan
         if check:
             brace_law_report(self).raise_invalid()
         self._ideals = None
+
+    @property
+    def lawful(self):
+        return self._laws == HOLDS and self.add.lawful and self.mul.lawful
 
     def plus(self, a, b):
         return int(self.add.add[a, b])
@@ -111,13 +120,23 @@ def brace_law_report(b):
     witness (a, x, y) is a failing instance.  The right law is the same for
     columns.  Two-sided, the right law is scanned in full first; once it
     holds, the generator rows decide the left law (``morphism_witness``).
+    The report opens with both groups' failing checks; over a (+) that is
+    no group the brace-law lines say only what the generator check found.
     """
-    report = Report("brace laws (order %d)" % b.order)
-    heap = heap_from_group(b.add)
-    mul = b.mul.mul
-    right = morphism_witness(mul.T, heap, heap) if b.sided == TWO_SIDED else None
-    gens = heap_generators(heap) if b.sided == TWO_SIDED and right is None else None
-    w = morphism_witness(mul, heap, heap, at=gens)
+    return _brace_laws(b, Report.over("brace laws (order %d)" % b.order,
+                                      (b.add.lawful, b.add.law_report),
+                                      (b.mul.lawful, b.mul.law_report)))
+
+
+def _brace_laws(b, report):
+    """``report`` with the brace laws added; their witnesses are scanned once and kept."""
+    if b._laws is None:
+        heap = heap_from_group(b.add)
+        mul = b.mul.mul
+        right = morphism_witness(mul.T, heap, heap) if b.sided == TWO_SIDED else None
+        gens = heap_generators(heap) if b.sided == TWO_SIDED and right is None else None
+        b._laws = (morphism_witness(mul, heap, heap, at=gens), right, None)
+    w, right, _ = b._laws
     report.add("brace.left_law", w is None, None if w is None else (w[0], w[1], w[3]))
     if b.sided == TWO_SIDED:
         report.add("brace.right_law", right is None,
@@ -138,23 +157,23 @@ def brace_from_truss(t):
     missing = sorted(set(range(t.order)) - set(units(t)))
     if missing:
         raise ValueError("truss is not brace-type; non-invertible elements: %s" % (missing,))
-    # the retract of a lawful heap is an abelian group; any other is scanned
-    add = inherit(retract(t.heap, t.identity), t.heap.retract.lawful, AbGroup.law_report)
-    mulgroup = FiniteGroup(t.mul, labels=t.labels, check=not t.lawful)
-    return Brace(add, mulgroup, sided=t.sided, labels=t.labels,
-                 check=not (t.lawful and t.heap.retract.lawful))
+    # a lawful truss hands its verdict on; any other brace is scanned, (+) first
+    add = inherit(retract(t.heap, t.identity), t.lawful, AbGroup.law_report)
+    mulgroup = inherit(FiniteGroup(t.mul, labels=t.labels, check=False), t.lawful,
+                       FiniteGroup.law_report)
+    return inherit(Brace(add, mulgroup, sided=t.sided, labels=t.labels, check=False), t.lawful,
+                   brace_law_report)
 
 
 def truss_from_brace(b):
     """The truss of a brace: bracket [a, b, c] = a - b + c, same multiplication.
 
     Its heap is ``heap_from_group(b.add)`` and its product ``b.mul.mul``, so
-    ``brace_from_truss`` would give back b's tables and is not run; the one
-    check it adds to the truss scan, of an additive group never scanned, is.
+    ``brace_from_truss`` would give back b's tables and is not run.  A lawful
+    brace hands its verdict on; the truss of any other brace is scanned.
     """
-    t = Truss(heap_from_group(b.add), b.mul.mul, sided=b.sided, labels=b.labels)
-    inherit(b.add, b.add.lawful, AbGroup.law_report)
-    return t
+    return inherit(Truss(heap_from_group(b.add), b.mul.mul, sided=b.sided, labels=b.labels,
+                         check=False), b.lawful, truss_law_report)
 
 
 def socle(b):
@@ -290,9 +309,11 @@ def units_brace(t):
     if w is not None:
         raise ValidationError("units.subheap", w, "unit set is not a sub-heap")
     labels = [t.label_of(u) for u in us]
-    # a sub-heap of a lawful heap restricts its retract to a subgroup; any other is scanned
+    # a lawful truss restricts to a subgroup and a unit group; any other brace
+    # is scanned, (+) before (B, .) is built from it
     add = inherit(AbGroup(restrict_table(retract(t.heap, t.identity).add, us), labels=labels,
-                          check=False), t.heap.retract.lawful, AbGroup.law_report)
-    mulgroup = FiniteGroup(restrict_table(t.mul, us), labels=labels, check=not t.lawful)
-    return Brace(add, mulgroup, sided=t.sided, labels=labels,
-                 check=not (t.lawful and t.heap.retract.lawful))
+                          check=False), t.lawful, AbGroup.law_report)
+    mulgroup = inherit(FiniteGroup(restrict_table(t.mul, us), labels=labels, check=False),
+                       t.lawful, FiniteGroup.law_report)
+    return inherit(Brace(add, mulgroup, sided=t.sided, labels=labels, check=False), t.lawful,
+                   brace_law_report)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .heaps import (AbGroup, _element_orders, _norm_labels, _prime_powers, _square_table,
                     induced_table, pair_table, power)
-from .lawcheck import ConsistencyError, Report, ValidationError, associativity_witness
+from .lawcheck import HOLDS, ConsistencyError, Report, ValidationError, associativity_witness
 
 NODE_BUDGET = 1_000_000
 
@@ -39,6 +39,8 @@ class FiniteGroup:
         self.labels = _norm_labels(labels, self.order)
         self.id = self._find_identity()
         self.inv = self._find_inv()
+        self._laws = None  # (None, associative, None), AbGroup's layout: inverses hold once found
+        self._orders = None  # ``element_orders``, computed once
         if check:
             self.law_report().raise_invalid()
 
@@ -61,12 +63,19 @@ class FiniteGroup:
         inv.setflags(write=False)
         return inv
 
+    @property
+    def lawful(self):
+        return self._laws == HOLDS
+
     def law_report(self):
         """Inverses, and associativity by Light's test: (xa)y = x(ay) for
-        a in {identity} plus ``generators`` decides it."""
+        a in {identity} plus ``generators`` decides it, on the first call (or
+        ``inherit`` hands it on); the witness is kept, as ``mul`` is read-only."""
+        if self._laws is None:
+            mids = [self.id] + self.generators()
+            self._laws = (None, associativity_witness(self.mul, self.mul, mids=mids), None)
         report = Report("group laws (order %d)" % self.order)
-        w = associativity_witness(self.mul, self.mul, mids=[self.id] + self.generators())
-        report.add("group.associative", w is None, w)
+        report.add("group.associative", self._laws[1] is None, self._laws[1])
         idx = np.arange(self.order)
         report.add("group.inverse", bool((self.mul[idx, self.inv] == self.id).all()))
         return report
@@ -96,7 +105,10 @@ class FiniteGroup:
         return int(power(self.mul, a, k, self.id))
 
     def element_orders(self):
-        return _element_orders(self.mul, self.id)
+        if self._orders is None:
+            self._orders = _element_orders(self.mul, self.id)
+            self._orders.setflags(write=False)
+        return self._orders
 
     def is_abelian(self):
         return bool((self.mul == self.mul.T).all())
@@ -185,24 +197,24 @@ def fingerprint(g):
     orders = g.element_orders()
     profile = tuple(sorted((int(k), int(v)) for k, v in zip(*np.unique(orders, return_counts=True))))
     if g.is_abelian():
-        center, derived, ab = g.order, 1, abelian_invariants(g, orders)
+        center, derived, ab = g.order, 1, abelian_invariants(g)
     else:
         sub = g.derived_subgroup()
         center, derived, ab = len(g.center()), len(sub), abelian_invariants(g.quotient_by(sub)[0])
     return GroupFingerprint(g.order, profile, center, derived, tuple(ab))
 
 
-def abelian_invariants(g, orders=None):
+def abelian_invariants(g):
     """Invariant factors d_1 | d_2 | ... | d_r with product |G|.
 
-    Read off the element orders (computed unless passed): if the p-part of
-    G is the sum of the C_{p^e_i}, #{x : o(x) | p^k} = p^(sum_i min(k, e_i)),
-    an exponent that grows by #{i : e_i >= k} from k - 1 to k.  The j-th
-    largest invariant factor is the product over p of p^(j-th largest e_i).
+    Read off the element orders: if the p-part of G is the sum of the
+    C_{p^e_i}, #{x : o(x) | p^k} = p^(sum_i min(k, e_i)), an exponent that
+    grows by #{i : e_i >= k} from k - 1 to k.  The j-th largest invariant
+    factor is the product over p of p^(j-th largest e_i).
     """
     if not g.is_abelian():
         raise ValueError("abelian decomposition of a nonabelian group")
-    orders = g.element_orders() if orders is None else orders
+    orders = g.element_orders()
     largest = np.ones(g.order.bit_length(), dtype=np.int64)
     for p, a in _prime_powers(g.order):
         at_least = np.diff([round(math.log(int((p ** k % orders == 0).sum()), p))

@@ -278,6 +278,10 @@ class Heap:
     def empty(cls):
         return cls(None)
 
+    @property
+    def lawful(self):  # the retract's kept verdict; the empty heap's laws hold vacuously
+        return self.order == 0 or self.retract.lawful
+
     def _require_nonempty(self, op):
         if self.order == 0:
             raise ValueError("%s needs an element; the empty heap has none" % op)

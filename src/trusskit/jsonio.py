@@ -34,7 +34,7 @@ import json
 
 import orjson
 
-from .braces import Brace, brace_law_report
+from .braces import Brace, _brace_laws
 from .extensions import ExtTruss, as_extension
 from .groups import FiniteGroup
 from .heaps import AbGroup, Heap, heap_from_group, heap_law_report
@@ -207,7 +207,7 @@ def _read(doc):
             mul = FiniteGroup(doc["mul"], labels=labels, check=False)
             report.extend(add.law_report()).extend(mul.law_report())
             b = Brace(add, mul, sided=doc.get("sided", TWO_SIDED), labels=labels, check=False)
-            return b, report.extend(brace_law_report(b))
+            return b, _brace_laws(b, report)  # both groups' reports are listed in full
         g = FiniteGroup(doc["mul"], labels=labels, check=False)
         return g, report.extend(g.law_report())
     except ValidationError as exc:

@@ -73,6 +73,12 @@ class Report:
     checks: list[Check] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
+    @classmethod
+    def over(cls, title, *parts):
+        """A structure's report: its verdict covers what it is built from, so it
+        opens with the failing checks of each (lawful, report) part not lawful."""
+        return cls(title, [c for ok, report in parts if not ok for c in report().failures()])
+
     def add(self, name, passed, witness=None):
         if witness is not None:
             witness = tuple(int(v) for v in witness)

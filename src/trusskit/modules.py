@@ -29,11 +29,12 @@ from .heaps import (
     subheap_witness,
 )
 from .lawcheck import HOLDS, ConsistencyError, Report, ValidationError, grid_witness, inherit
-from .trusses import TWO_SIDED, _law_witnesses
+from .trusses import TWO_SIDED, _law_witnesses, truss_law_report
 
 
 class TModule:
-    """Left module over a truss: heap carrier plus an action table (t, x) -> t.x."""
+    """Left module over a truss: heap carrier plus an action table (t, x) -> t.x;
+    ``lawful`` covers its own laws, its truss and its carrier."""
 
     def __init__(self, truss, heap, action, labels=None, check=True):
         self.truss = truss
@@ -49,8 +50,6 @@ class TModule:
         self.order = heap.order
         self.labels = _norm_labels(labels, self.order) or heap.labels
         self._laws = None  # witness triple of the one law scan
-        if action is truss.mul and heap is truss.heap:
-            self._laws = truss._laws  # the regular module: its laws are the truss's
         if check:
             module_law_report(self).raise_invalid()
         self.unital = (
@@ -60,7 +59,7 @@ class TModule:
 
     @property
     def lawful(self):
-        return self._laws == HOLDS
+        return self._laws == HOLDS and self.truss.lawful and self.heap.lawful
 
     def act(self, t, x):
         return int(self.action[t, x])
@@ -88,10 +87,14 @@ def module_law_report(mod, seed=None):
     law is skipped for left trusses, where it is no law.  The regular
     module (action ``mul`` on the truss's heap) reads ``truss.law_witnesses()``:
     the same first witnesses, whatever ``lawful`` says.  The witness triple
-    is scanned once and kept (``action`` is read-only).  ``seed`` is ignored.
+    is scanned once and kept (``action`` is read-only).  The report opens
+    with its truss's and carrier's failing checks; over a failing heap the
+    bracket laws are left out.  ``seed`` is ignored.
     """
     truss, m = mod.truss, mod.order
-    report = Report("module laws (truss %d on carrier %d)" % (truss.order, m))
+    report = Report.over("module laws (truss %d on carrier %d)" % (truss.order, m),
+                         (truss.lawful, lambda: truss_law_report(truss)),
+                         (mod.heap.lawful, lambda: mod.heap.retract.law_report()))
     if mod._laws is None:
         regular = mod.action is truss.mul and mod.heap is truss.heap
         mod._laws = (truss.law_witnesses() if regular else HOLDS if m == 0 else _law_witnesses(
@@ -101,6 +104,9 @@ def module_law_report(mod, seed=None):
         report.note("empty carrier: laws hold vacuously")
         return report
     report.add("module.associative", w is None, w)
+    if not (truss.heap.lawful and mod.heap.lawful):
+        report.note("bracket laws not decided: a heap's laws fail")
+        return report
     if truss.sided == TWO_SIDED:
         report.add("module.truss_bracket", bracket is None,
                    None if bracket is None else bracket[1:] + bracket[:1])
@@ -113,10 +119,10 @@ def module_law_report(mod, seed=None):
 def regular_module(t):
     """The truss acting on itself by multiplication.
 
-    Its laws are exactly the truss's, so it is built unscanned and shares
-    the truss's kept verdict.
+    Its laws are exactly the truss's, so it is built unscanned: a lawful
+    truss hands its verdict on, and ``module_law_report`` reads any other's.
     """
-    return TModule(t, t.heap, t.mul, labels=t.labels, check=False)
+    return inherit(TModule(t, t.heap, t.mul, labels=t.labels, check=False), t.lawful)
 
 
 def trivial_module(t, heap):

@@ -42,7 +42,7 @@ class Truss:
     read-only): with ``check``, in ``truss_from_ring`` or at the first
     ``truss_law_report``; a quotient, the opposite or a change of anchor of
     a lawful truss inherits it (``lawcheck.inherit``).
-    ``lawful`` says the kept triple is all None.
+    ``lawful`` says the kept triple is all None and the heap is lawful.
     """
 
     def __init__(self, heap, mul, sided=TWO_SIDED, labels=None, check=True):
@@ -63,11 +63,11 @@ class Truss:
 
     @property
     def lawful(self):
-        return self._laws == HOLDS
+        return self._laws == HOLDS and self.heap.lawful
 
     def law_witnesses(self):
         """(associative, left, right) witnesses of ``mul``, None where a law
-        holds: scanned on the first call, then kept."""
+        holds or, over a failing heap, is not decided: scanned once, then kept."""
         if self._laws is None:
             self._laws = (_law_witnesses(self.mul, self.mul, self.heap, self.heap,
                                          self.sided, mul_lawful=True)
@@ -121,8 +121,12 @@ def _law_witnesses(mul, act, theap, mheap, sided, mul_lawful):
     associativity.  That needs ``mul`` to distribute on both sides, which
     ``mul_lawful`` vouches for (for ``act = mul`` the scans just made show
     it); without it s and t run over every element.  Every witness is the
-    full scan's (``associativity_witness``).
+    full scan's (``associativity_witness``).  Over a heap that is not lawful
+    (its retract's verdict, scanned if never scanned) generators decide
+    nothing: associativity is scanned in full and rows and columns read None.
     """
+    if not all(h.lawful or h.retract.law_report().ok for h in (theap, mheap)):
+        return associativity_witness(mul, act), None, None
     cols = morphism_witness(act.T, theap, mheap) if sided == TWO_SIDED else None
     both = sided == TWO_SIDED and cols is None and theap.order
     sides = heap_generators(theap) if both else None
@@ -146,16 +150,21 @@ def truss_law_report(t, seed=None):
     the (r + 1)^3 generator triples decide associativity.  With the left law
     only, x runs over the generators.  For left trusses the right law is
     skipped and noted.  The witnesses are ``t.law_witnesses()``: the scan
-    runs once per table, and a repeated report reads its kept triple.
-    ``seed`` is ignored.
+    runs once per table, and a repeated report reads its kept triple.  It
+    opens with the heap's failing checks; over such a heap it lists
+    associativity alone.  ``seed`` is ignored.
     """
     n, mul = t.order, t.mul
-    report = Report("truss laws (order %d)" % n)
+    report = Report.over("truss laws (order %d)" % n,
+                         (t.heap.lawful, lambda: t.heap.retract.law_report()))
     assoc, left, right = t.law_witnesses()
     if n == 0:
         report.note("empty truss: laws hold vacuously")
         return report
     report.add("truss.associative", assoc is None, assoc)
+    if not t.heap.lawful:
+        report.note("distributivity not decided: the heap's laws fail")
+        return report
     report.add("truss.left_distributive", left is None, left)
     if t.sided == TWO_SIDED:
         report.add("truss.right_distributive", right is None, right)
@@ -178,10 +187,12 @@ def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED):
     absorber"; a failure is reported as a ring instance (a, b, c) of
     a(b + c) != ab + ac (or its mirror).  Right law in full, left law on
     generator rows and associativity on generator triples, as in
-    ``truss_law_report``.  The truss keeps that scan's triple.
+    ``truss_law_report``, after ``add``'s kept (or scanned) group laws.  The
+    truss keeps that scan's triple.
     """
     if not isinstance(add, AbGroup):
-        add = AbGroup(add)
+        add = AbGroup(add, check=False)
+    add.law_report().raise_invalid()
     mul = _square_table(mul, "ring")
     heap = heap_from_group(add)
     w, left, right = _law_witnesses(mul, mul, heap, heap, TWO_SIDED, mul_lawful=True)

@@ -555,8 +555,10 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     assert real() is not real()  # build_parser itself still returns a fresh parser
 
 
-# ``validate`` stdout on corrupted group and heap documents, pinned byte for
-# byte: a heap whose group laws fail still gets its Mal'cev grids scanned.
+# ``validate`` stdout on documents with a corrupted group table, pinned byte
+# for byte: a heap whose group laws fail still gets its Mal'cev grids
+# scanned; a truss or module over a failing heap block is not built; a brace
+# lists both groups' reports and its own laws.
 _PINNED_VALIDATE = {
     "abgroup": """command: validate {path}
 structure structure: {{"kind": "abgroup", "order": 6, "zero": 0}}
@@ -578,16 +580,90 @@ report: validate heap
   [ok  ] declared_zero
   result: FAIL
 """,
+    "truss": """command: validate {path}
+report: validate truss
+  [ok  ] heap.malcev
+  [FAIL] heap.malcev_right  witness=(2, 3)
+  [FAIL] group.commutative  witness=(2, 3)
+  [FAIL] group.associative  witness=(1, 1, 3)
+  [ok  ] group.inverse
+  [ok  ] declared_zero
+  result: FAIL
+""",
+    "tmodule": """command: validate {path}
+report: validate tmodule
+  [ok  ] heap.malcev
+  [ok  ] heap.malcev_right
+  [ok  ] group.commutative
+  [ok  ] group.associative
+  [ok  ] group.inverse
+  [ok  ] declared_zero
+  [ok  ] truss.associative
+  [ok  ] truss.left_distributive
+  [ok  ] truss.right_distributive
+  [ok  ] truss.identity_row
+  [ok  ] truss.absorber_row
+  [ok  ] declared_identity
+  [ok  ] declared_absorber
+  [ok  ] heap.malcev
+  [FAIL] heap.malcev_right  witness=(2, 3)
+  [FAIL] group.commutative  witness=(2, 3)
+  [FAIL] group.associative  witness=(1, 1, 3)
+  [ok  ] group.inverse
+  [ok  ] declared_zero
+  result: FAIL
+""",
+    "brace_add": """command: validate {path}
+structure structure: {{"kind": "brace", "order": 16, "sided": "two-sided"}}
+report: validate brace
+  [FAIL] group.commutative  witness=(2, 3)
+  [FAIL] group.associative  witness=(1, 1, 3)
+  [ok  ] group.inverse
+  [ok  ] group.associative
+  [ok  ] group.inverse
+  [FAIL] brace.left_law  witness=(1, 1, 1)
+  [FAIL] brace.right_law  witness=(1, 1, 1)
+  result: FAIL
+""",
+    "brace_mul": """command: validate {path}
+structure structure: {{"kind": "brace", "order": 16, "sided": "two-sided"}}
+report: validate brace
+  [ok  ] group.commutative
+  [ok  ] group.associative
+  [ok  ] group.inverse
+  [FAIL] group.associative  witness=(1, 1, 3)
+  [ok  ] group.inverse
+  [FAIL] brace.left_law  witness=(2, 2, 1)
+  [FAIL] brace.right_law  witness=(3, 1, 1)
+  result: FAIL
+""",
 }
+
+
+def _corrupted_document(kind):
+    """The document of ``kind`` with one group-table cell changed: Z_6 with
+    2 + 3 = 4 (it keeps its zero and inverses only), as a group, a heap, the
+    heap block of T(Z_6) or the carrier of its regular module; or cell (2, 3)
+    of the order-16 extension brace's + or . set to 5."""
+    from trusskit import AbGroup, brace_from_truss, extend, heap_from_group
+
+    z6 = zn_truss(6)
+    if kind.startswith("brace_"):
+        base = za_truss(2, 4)
+        doc = jsonio.to_jsonable(brace_from_truss(extend(base, regular_module(base), 0).truss))
+        doc[kind[len("brace_"):]][2][3] = 5
+        return doc
+    g = AbGroup.cyclic(6)
+    structures = {"abgroup": g, "heap": heap_from_group(g), "truss": z6,
+                  "tmodule": regular_module(z6)}
+    doc = jsonio.to_jsonable(structures[kind])
+    (doc if kind in ("abgroup", "heap") else doc["heap"])["add"][2][3] = 4
+    return doc
 
 
 @pytest.mark.parametrize("kind", sorted(_PINNED_VALIDATE))
 def test_validate_corrupted_group_documents_pinned(kind, tmp_path, capsys):
-    from trusskit import AbGroup, heap_from_group
-
-    g = AbGroup.cyclic(6)
-    doc = jsonio.to_jsonable(g if kind == "abgroup" else heap_from_group(g))
-    doc["add"][2][3] = 4  # Z_6 with 2 + 3 = 4: it keeps its zero and inverses only
+    doc = _corrupted_document(kind)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out = run_cli(["validate", str(path)], capsys)

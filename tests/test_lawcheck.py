@@ -47,6 +47,7 @@ from trusskit import (
     quaternion_group,
     quotient_truss,
     regular_module,
+    socle,
     subheap_witness,
     trivial_module,
     trunc_poly_truss,
@@ -1150,10 +1151,10 @@ def _fresh_module(mod):
                           mul_lawful=False)
 
 
-def _unchecked_group(data, max_order=12):
-    """A group of ``GROUPS``, maybe corrupted, built unchecked and maybe
-    scanned; None when the corruption leaves no zero or inverse."""
-    g = data.draw(st.sampled_from([g for g in GROUPS if g.order <= max_order]))
+def _unchecked_group(data, max_order=12, group=None):
+    """A group of ``GROUPS`` (or ``group``), maybe corrupted, built unchecked
+    and maybe scanned; None when the corruption leaves no zero or inverse."""
+    g = group or data.draw(st.sampled_from([g for g in GROUPS if g.order <= max_order]))
     try:
         g = AbGroup(_corrupt(data, g.add, g.order), check=False)
     except ValidationError:
@@ -1303,6 +1304,11 @@ class TestInheritedVerdicts:
         assert heap_law_report(heap_from_group(g)).to_dict() == oracle.to_dict()
 
 
+def _checked_copy(b):
+    """A new brace on ``b``'s tables, every part built with ``check=True``."""
+    return Brace(AbGroup(np.array(b.add.add)), FiniteGroup(np.array(b.mul.mul)), sided=b.sided)
+
+
 class TestScanCounts:
     """Only the scans of an input or of a paper claim run; quotients and
     direct sums built from lawful parents run none."""
@@ -1345,3 +1351,210 @@ class TestScanCounts:
         t = zn_truss(256)
         scans.clear()
         assert units_brace(t).order == 128 and scans == []
+
+    @pytest.mark.parametrize("build", [
+        lambda: brace_from_truss(za_truss(2, 8)),
+        lambda: brace_from_truss(extend(za_truss(2, 8), regular_module(za_truss(2, 8)), 0).truss),
+        lambda: _checked_copy(brace_from_truss(za_truss(2, 16))),
+    ], ids=["bridge-8", "bridge-64", "checked-16"])
+    def test_socle_of_a_lawful_brace_runs_no_scan(self, scans, build):
+        b = build()
+        assert b.lawful
+        scans.clear()
+        t = truss_from_brace(b)
+        socle(b)
+        assert scans == [] and t.lawful
+
+    def test_socle_scans_an_unchecked_brace_once(self, scans):
+        b = brace_from_truss(extend(za_truss(2, 8), regular_module(za_truss(2, 8)), 0).truss)
+        fresh = Brace(b.add, b.mul, sided=b.sided, labels=b.labels, check=False)
+        scans.clear()
+        socle(fresh)
+        assert scans == [("truss", 64)] and not fresh.lawful
+
+
+# ------------------------------- a verdict covers everything a structure is built from
+# Brute force decides the law checks a structure's report lists, in order:
+# the failing laws of its parts (heaps, groups, a module's truss), then its
+# own laws; over a heap that is no group, generators decide no bracket law,
+# and the report lists associativity alone.  Every listed check must agree
+# with brute force, with a witness that fails it (the lexicographically
+# first one where the report promises that); ``lawful`` must say that every
+# law holds, and a checked build must raise the report's first failure.
+
+def _group_laws(add, zero, neg, commutative=True):
+    idx = np.arange(len(add))
+    laws = [("group.commutative", add != add.T, True)] if commutative else []
+    return laws + [("group.associative", _assoc_oracle(add, add), True),
+                   ("group.inverse", add[idx, neg] != zero, True)]
+
+
+def _failing(laws):
+    return [law for law in laws if law[1].any()]
+
+
+def _heap_failures(heap):
+    return _failing(_group_laws(heap.retract.add, heap.retract.zero, heap.retract.neg))
+
+
+def _truss_laws(t):
+    heap = _heap_failures(t.heap)
+    laws = heap + [("truss.associative", _assoc_oracle(t.mul, t.mul), True)]
+    if heap:
+        return laws
+    laws.append(("truss.left_distributive", _distributive_oracle(t.mul, t.heap, t.heap), False))
+    if t.sided == "two-sided":
+        laws.append(("truss.right_distributive", _distributive_oracle(t.mul.T, t.heap, t.heap),
+                     False))
+    return laws
+
+
+def _module_laws(mod):
+    t, act = mod.truss, mod.action
+    carrier = _heap_failures(mod.heap)
+    laws = _failing(_truss_laws(t)) + carrier
+    laws.append(("module.associative", _assoc_oracle(t.mul, act), True))
+    if carrier or _heap_failures(t.heap):
+        return laws
+    if t.sided == "two-sided":
+        # oracle axes (x, a, b, c); the report's witness is (a, b, c, x)
+        bracket = np.moveaxis(_distributive_oracle(act.T, t.heap, mod.heap), 0, -1)
+        laws.append(("module.truss_bracket", bracket, False))
+    laws.append(("module.carrier_bracket", _distributive_oracle(act, mod.heap, mod.heap), False))
+    return laws
+
+
+def _brace_laws(b):
+    add, neg, mul = b.add.add, b.add.neg, b.mul.mul
+    plus = _failing(_group_laws(add, b.add.zero, neg))
+    laws = plus + _failing(_group_laws(mul, b.mul.id, b.mul.inv, commutative=False))
+    if plus:
+        # over a (+) that is no group the report still lists the brace laws,
+        # decided on generators as the CLI's stdout pins them: not compared
+        return laws
+    sides = [("left", mul)] + ([("right", mul.T)] if b.sided == "two-sided" else [])
+    for side, rows in sides:  # a(x + y) = ax - a + ay, at (a, x, y)
+        bad = rows[:, add] != add[add[rows[:, :, None], neg[:, None, None]], rows[:, None, :]]
+        laws.append(("brace.%s_law" % side, bad, False))
+    return laws
+
+
+def _matches_brute_force(obj, report, laws, build):
+    """``obj``'s verdict, its report and a checked build against ``laws``."""
+    names = {name for name, _, _ in laws}
+    listed = [c for c in report.checks if c.name in names]
+    assert [c.name for c in listed] == [name for name, _, _ in laws]
+    for check, (name, bad, first) in zip(listed, laws):
+        assert check.passed == (not bad.any()), name
+        if check.witness is not None:
+            assert bad[check.witness]
+            assert not first or check.witness == _first(bad)
+    failing = _failing(laws)
+    assert obj.lawful == report.ok == (not failing)
+    if not failing:
+        build()
+        return
+    check = report.failures()[0]
+    assert check.name == failing[0][0]
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert (err.value.law, err.value.witness) == (check.name, check.witness)
+
+
+def _unchecked_truss(data):
+    """A truss of ``_trusses()`` with its heap's table and its product maybe
+    corrupted, built unchecked; None when the heap keeps no zero or inverse
+    or the product gets two absorbers."""
+    t = data.draw(st.sampled_from(_trusses()))
+    g = _unchecked_group(data, group=t.heap.retract)
+    if g is None:
+        return None
+    try:
+        return Truss(heap_from_group(g), _corrupt(data, t.mul, t.order), sided=t.sided,
+                     check=False)
+    except ConsistencyError:
+        return None
+
+
+class TestWholeVerdicts:
+    """Trusses, modules and braces built unchecked over heaps with up to three
+    corrupted cells (order <= 12): ``lawful`` and the first failing law, with
+    its witness, are brute force's over every law, heap laws included."""
+
+    @ORACLE
+    @given(st.data())
+    def test_truss(self, data):
+        t = _unchecked_truss(data)
+        if t is None:
+            return
+        if data.draw(st.booleans()):
+            t.law_witnesses()
+        _matches_brute_force(t, truss_law_report(t), _truss_laws(t),
+                             lambda: Truss(t.heap, t.mul, sided=t.sided))
+
+    @ORACLE
+    @given(st.data())
+    def test_module(self, data):
+        t, g = _unchecked_truss(data), _unchecked_group(data)
+        if t is None or g is None:
+            return
+        heap = heap_from_group(g)
+        base = np.arange(g.order) if data.draw(st.booleans()) else np.full(g.order, g.zero)
+        action = _corrupt(data, np.tile(base, (t.order, 1)), g.order)  # trivial or zero
+        mod = TModule(t, heap, action, check=False)
+        _matches_brute_force(mod, module_law_report(mod), _module_laws(mod),
+                             lambda: TModule(t, heap, action))
+
+    @ORACLE
+    @given(st.data())
+    def test_brace(self, data):
+        b = data.draw(st.sampled_from([b for b in _braces() if b.order <= 12]))
+        add = _unchecked_group(data, group=b.add)
+        # (B, .) carried by a permutation fixing the identity: a group that
+        # seldom distributes over +
+        perm, others = np.arange(b.order), [v for v in range(b.order) if v != b.identity]
+        perm[others] = data.draw(st.permutations(others))
+        back = np.argsort(perm)
+        mul = _corrupt(data, perm[b.mul.mul[back[:, None], back[None, :]]], b.order)
+        if add is None:
+            return
+        try:
+            bad = Brace(add, FiniteGroup(mul, check=False), sided=b.sided, check=False)
+        except ValidationError:  # no identity or inverse, or a zero that is not it
+            return
+        _matches_brute_force(bad, brace_law_report(bad), _brace_laws(bad),
+                             lambda: Brace(bad.add, bad.mul, sided=b.sided))
+
+
+def _non_group():
+    """x + y = y on two points: a zero and negatives, but no group."""
+    return AbGroup([[0, 1], [0, 1]], check=False)
+
+
+_OVER_A_NON_GROUP = {
+    "truss": (lambda check: Truss(heap_from_group(_non_group()), [[0, 1], [1, 0]], check=check),
+              truss_law_report),
+    "module": (lambda check: TModule(zn_truss(2), heap_from_group(_non_group()),
+                                     [[0, 0], [0, 0]], check=check), module_law_report),
+    "brace": (lambda check: Brace(_non_group(), FiniteGroup([[0, 1], [1, 0]], check=False),
+                                  check=check), brace_law_report),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OVER_A_NON_GROUP))
+def test_a_structure_over_a_non_group_is_not_lawful(kind):
+    """Its own laws hold; the heap's commutativity fails at (0, 1)."""
+    build, report = _OVER_A_NON_GROUP[kind]
+    with pytest.raises(ValidationError) as err:
+        build(True)
+    assert (err.value.law, err.value.witness) == ("group.commutative", (0, 1))
+    obj = build(False)
+    failed = [(c.name, c.witness) for c in report(obj).failures()]
+    assert failed == [("group.commutative", (0, 1))] and not obj.lawful
+
+
+def test_truss_from_ring_reads_the_additive_group_verdict():
+    for add in (_non_group(), [[0, 1], [0, 1]]):
+        with pytest.raises(ValidationError) as err:
+            truss_from_ring(add, [[0, 0], [0, 0]])
+        assert (err.value.law, err.value.witness) == ("group.commutative", (0, 1))

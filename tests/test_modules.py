@@ -33,7 +33,7 @@ from trusskit import (
 from trusskit.catalog import end_truss, left_translation_truss, trunc_poly_truss, za_truss
 from trusskit.extensions import extend
 from trusskit.heaps import closed_subheaps, subheap_relation_classes, subheap_witness
-from trusskit.trusses import Truss, opposite_truss
+from trusskit.trusses import Truss, opposite_truss, truss_law_report
 from trusskit import jsonio, modules
 
 
@@ -170,7 +170,11 @@ class TestUncheckedTruss:
         assert not t.lawful
         mod = TModule(t, t.heap, (np.arange(4)[:, None] + np.arange(4)) % 4, check=False)
         failed = [(c.name, c.witness) for c in module_law_report(mod).failures()]
-        assert failed == [("module.associative", (2, 0, 0))]  # 2.(0.0) = 2, (2.0).0 = 0
+        # the module's report opens with its truss's failures
+        truss_failed = [(c.name, c.witness) for c in truss_law_report(t).failures()]
+        assert truss_failed and not mod.lawful
+        # 2.(0.0) = 2, (2.0).0 = 0
+        assert failed == truss_failed + [("module.associative", (2, 0, 0))]
 
     def test_unchecked_truss_is_not_trusted(self, monkeypatch):
         seen, original = [], modules._law_witnesses

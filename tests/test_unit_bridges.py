@@ -208,7 +208,7 @@ def test_truss_from_an_unscanned_corrupted_brace_matches_the_round_trip(data):
 
 def test_an_additive_group_never_scanned_is_scanned():
     """Over this two-point heap, whose table x + y = y is no group, the truss
-    scan passes; the additive group's scan fails, as in the round trip."""
+    laws hold; the additive group's scan fails, as in the round trip."""
     def build():
         mul = brace_from_truss(za_truss(2, 2)).mul
         return Brace(AbGroup([[0, 1], [0, 1]], check=False), mul, check=False)
