@@ -2,14 +2,15 @@
 
 A brace is one carrier with an abelian group (+) and a group (.) sharing a
 neutral element, linked by a(b + c) = ab - a + ac (and the mirrored law when
-two-sided).  A unital truss whose every element is a unit is the same thing
-as a brace, and so is its unit set when that is a sub-heap (``units_brace``).
-A lawful truss hands its verdict on to the brace it gives, and a lawful brace
-to its truss: each ``lawful`` covers everything the structure is built from.
-The normal-paragon characterisation of brace ideals and the socle live here
-as well.  "Normal paragon" means the translate-stable normality of
-``trusses.is_normal_paragon``: it agrees with tP = Pt on paragons that
-contain the identity, and it holds for every member of a quotient B/I.
+two-sided): the distributive laws of its truss ``Brace.truss`` (bracket
+a - b + c), so one truss law scan decides them.  A unital truss whose every
+element is a unit is the same thing as a brace, and so is its unit set when
+that is a sub-heap (``units_brace``).  A lawful truss hands its verdict on to
+the brace it gives, and a lawful brace to its truss: each ``lawful`` covers
+everything the structure is built from.  The normal-paragon characterisation
+of brace ideals and the socle live here as well, with "normal paragon" the
+translate-stable normality of ``trusses.is_normal_paragon``: it agrees with
+tP = Pt on paragons through the identity and holds on each member of B/I.
 """
 
 from __future__ import annotations
@@ -22,14 +23,11 @@ from .heaps import (
     SubHeap,
     _norm_labels,
     heap_from_group,
-    heap_generators,
-    morphism_witness,
     retract,
     subheap_relation_classes,
     subheap_witness,
 )
 from .lawcheck import (
-    HOLDS,
     ConsistencyError,
     Report,
     ValidationError,
@@ -64,15 +62,13 @@ __all__ = [
 class Brace:
     """Additive group and multiplicative group on one index set.
 
-    The multiplicative identity must coincide with the additive zero; the
-    distributivity laws are checked at construction (only the left law for
-    ``sided="left"``).  ``lawful`` covers the brace laws, whose witnesses
-    are kept, and both groups' laws.
+    The multiplicative identity must coincide with the additive zero.
+    ``truss`` (heap of (+), product (.)) is built once; its distributive laws
+    are the brace laws, checked at construction (only the left law for
+    ``sided="left"``).  ``lawful`` is the truss's verdict and (.)'s.
     """
 
     def __init__(self, add, mulgroup, sided=TWO_SIDED, labels=None, check=True):
-        if sided not in (TWO_SIDED, LEFT):
-            raise ValueError("sided must be %r or %r" % (TWO_SIDED, LEFT))
         if add.order != mulgroup.order:
             raise ValueError("additive and multiplicative tables differ in size")
         if add.zero != mulgroup.id:
@@ -87,20 +83,14 @@ class Brace:
         self.order = add.order
         self.labels = _norm_labels(labels, self.order) or add.labels or mulgroup.labels
         self.identity = add.zero
-        self._laws = None  # (left, right, None) witnesses of the one brace-law scan
+        self.truss = Truss(heap_from_group(add), mulgroup.mul, sided, self.labels, check=False)
         if check:
             brace_law_report(self).raise_invalid()
         self._ideals = None
 
     @property
     def lawful(self):
-        return self._laws == HOLDS and self.add.lawful and self.mul.lawful
-
-    def plus(self, a, b):
-        return int(self.add.add[a, b])
-
-    def minus(self, a):
-        return int(self.add.neg[a])
+        return self.truss.lawful and self.mul.lawful
 
     def times(self, a, b):
         return int(self.mul.mul[a, b])
@@ -116,12 +106,11 @@ def brace_law_report(b):
     """The two distributivity-style laws linking + and ``.``.
 
     a(x + y) = ax - a + ay says that the row x -> ax is a heap morphism of
-    the additive heap (a0 = a), so ``morphism_witness`` decides it; the
-    witness (a, x, y) is a failing instance.  The right law is the same for
-    columns.  Two-sided, the right law is scanned in full first; once it
-    holds, the generator rows decide the left law (``morphism_witness``).
+    the additive heap (a0 = a), the left distributivity of ``b.truss``; the
+    right law is its right distributivity.  Their witnesses are the truss's
+    (``Truss.law_witnesses``, scanned once), (a, x, e, y) reported as (a, x, y).
     The report opens with both groups' failing checks; over a (+) that is
-    no group the brace-law lines say only what the generator check found.
+    no group it lists no brace law and notes why, as the truss report does.
     """
     return _brace_laws(b, Report.over("brace laws (order %d)" % b.order,
                                       (b.add.lawful, b.add.law_report),
@@ -129,14 +118,11 @@ def brace_law_report(b):
 
 
 def _brace_laws(b, report):
-    """``report`` with the brace laws added; their witnesses are scanned once and kept."""
-    if b._laws is None:
-        heap = heap_from_group(b.add)
-        mul = b.mul.mul
-        right = morphism_witness(mul.T, heap, heap) if b.sided == TWO_SIDED else None
-        gens = heap_generators(heap) if b.sided == TWO_SIDED and right is None else None
-        b._laws = (morphism_witness(mul, heap, heap, at=gens), right, None)
-    w, right, _ = b._laws
+    """``report`` with the brace laws added: the distributive laws of ``b.truss``."""
+    _, w, right = b.truss.law_witnesses()
+    if not b.add.lawful:
+        report.note("brace laws not decided: the additive group's laws fail")
+        return report
     report.add("brace.left_law", w is None, None if w is None else (w[0], w[1], w[3]))
     if b.sided == TWO_SIDED:
         report.add("brace.right_law", right is None,
@@ -157,23 +143,28 @@ def brace_from_truss(t):
     missing = sorted(set(range(t.order)) - set(units(t)))
     if missing:
         raise ValueError("truss is not brace-type; non-invertible elements: %s" % (missing,))
-    # a lawful truss hands its verdict on; any other brace is scanned, (+) first
-    add = inherit(retract(t.heap, t.identity), t.lawful, AbGroup.law_report)
-    mulgroup = inherit(FiniteGroup(t.mul, labels=t.labels, check=False), t.lawful,
+    return _unit_brace(t, retract(t.heap, t.identity), None, t.labels)
+
+
+def _unit_brace(t, add, us, labels):
+    """The brace with (+) ``add`` on the units ``us`` (None: all) of ``t``: a lawful
+    ``t`` hands its verdict on to (+), (B, .) and the truss, else (+) is scanned first."""
+    inherit(add, t.lawful, AbGroup.law_report)
+    mul = t.mul if us is None else restrict_table(t.mul, us)
+    mulgroup = inherit(FiniteGroup(mul, labels=labels, check=False), t.lawful,
                        FiniteGroup.law_report)
-    return inherit(Brace(add, mulgroup, sided=t.sided, labels=t.labels, check=False), t.lawful,
-                   brace_law_report)
+    b = Brace(add, mulgroup, sided=t.sided, labels=labels, check=not t.lawful)
+    inherit(b.truss, t.lawful)
+    return b
 
 
 def truss_from_brace(b):
     """The truss of a brace: bracket [a, b, c] = a - b + c, same multiplication.
 
-    Its heap is ``heap_from_group(b.add)`` and its product ``b.mul.mul``, so
-    ``brace_from_truss`` would give back b's tables and is not run.  A lawful
-    brace hands its verdict on; the truss of any other brace is scanned.
+    It is ``b.truss``, whose distributive laws are the brace laws.  A lawful
+    brace has settled them; the truss of any other brace is scanned, once.
     """
-    return inherit(Truss(heap_from_group(b.add), b.mul.mul, sided=b.sided, labels=b.labels,
-                         check=False), b.lawful, truss_law_report)
+    return inherit(b.truss, b.lawful, truss_law_report)
 
 
 def socle(b):
@@ -265,7 +256,7 @@ def ideal_cosets(b, ideal):
     An ideal is an additive subgroup, hence a sub-heap, so its closure is
     not checked again.
     """
-    heap = heap_from_group(b.add)
+    heap = b.truss.heap
     return subheap_relation_classes(heap, SubHeap(heap, ideal, check=False))
 
 
@@ -309,11 +300,5 @@ def units_brace(t):
     if w is not None:
         raise ValidationError("units.subheap", w, "unit set is not a sub-heap")
     labels = [t.label_of(u) for u in us]
-    # a lawful truss restricts to a subgroup and a unit group; any other brace
-    # is scanned, (+) before (B, .) is built from it
-    add = inherit(AbGroup(restrict_table(retract(t.heap, t.identity).add, us), labels=labels,
-                          check=False), t.lawful, AbGroup.law_report)
-    mulgroup = inherit(FiniteGroup(restrict_table(t.mul, us), labels=labels, check=False),
-                       t.lawful, FiniteGroup.law_report)
-    return inherit(Brace(add, mulgroup, sided=t.sided, labels=labels, check=False), t.lawful,
-                   brace_law_report)
+    add = AbGroup(restrict_table(retract(t.heap, t.identity).add, us), labels=labels, check=False)
+    return _unit_brace(t, add, us, labels)

@@ -40,8 +40,8 @@ class Truss:
     The identity and absorber are detected by table scan.  The laws are
     scanned once and the witness triple kept (``law_witnesses``; ``mul`` is
     read-only): with ``check``, in ``truss_from_ring`` or at the first
-    ``truss_law_report``; a quotient, the opposite or a change of anchor of
-    a lawful truss inherits it (``lawcheck.inherit``).
+    ``truss_law_report``.  Made from a lawful truss, a quotient, the opposite,
+    a change of anchor and a brace's truss inherit it (``lawcheck.inherit``).
     ``lawful`` says the kept triple is all None and the heap is lawful.
     """
 

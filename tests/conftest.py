@@ -2,16 +2,17 @@
 
 import pytest
 
-from trusskit import braces, heaps, jsonio, modules, trusses
+from trusskit import heaps, modules, trusses
 
 
 @pytest.fixture
 def scans(monkeypatch):
     """The law scans run in the test, in order: ("truss", n) for a truss or
     ring table of order n, ("module", n, m) for an action of an order-n truss
-    on m elements, ("group", n) for an abelian group table and ("brace", n)
-    for the brace laws of an order-n brace.  A read of a kept verdict is no
-    scan and is not recorded."""
+    on m elements and ("group", n) for an abelian group table.  The brace
+    laws of an order-n brace are its truss's distributive laws, so their scan
+    is a ("truss", n) scan.  A read of a kept verdict is no scan and is not
+    recorded."""
     seen = []
 
     def counted(original, tag):
@@ -20,19 +21,10 @@ def scans(monkeypatch):
             return original(mul, act, *args, **kwargs)
         return run
 
-    brace_laws = braces._brace_laws
-
-    def brace_scan(b, report):  # the brace laws are scanned unless the brace keeps them
-        if b._laws is None:
-            seen.append(("brace", b.order))
-        return brace_laws(b, report)
-
     monkeypatch.setattr(trusses, "_law_witnesses",
                         counted(trusses._law_witnesses, lambda mul, act: ("truss", len(mul))))
     monkeypatch.setattr(modules, "_law_witnesses", counted(
         modules._law_witnesses, lambda mul, act: ("module", len(mul), act.shape[1])))
     monkeypatch.setattr(heaps, "associativity_witness", counted(
         heaps.associativity_witness, lambda add, _: ("group", len(add))))
-    for module in (braces, jsonio):
-        monkeypatch.setattr(module, "_brace_laws", brace_scan)
     return seen

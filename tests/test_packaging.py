@@ -1,4 +1,5 @@
-"""Every third-party module that trusskit imports is a declared dependency."""
+"""Every third-party module that trusskit imports is a declared dependency,
+and every name a trusskit module imports is used or exported there."""
 
 import ast
 import re
@@ -33,3 +34,35 @@ def test_every_third_party_import_is_a_declared_dependency():
     imports = _third_party_imports()
     assert {"numpy", "orjson"} <= imports  # the scan sees the imports it should
     assert imports <= _declared_dependencies()
+
+
+MODULES = sorted(p for p in (ROOT / "src" / "trusskit").glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(path):
+    """Names ``path`` imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_imported_name_is_used_or_exported(path):
+    assert _unused_imports(path) == []
+
+
+def test_the_unused_import_scan_sees_an_unused_name(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy as np\nfrom .heaps import AbGroup, Heap\n"
+                    "__all__ = ['Heap']\n", encoding="utf-8")
+    assert _unused_imports(path) == ["AbGroup", "np"]
