@@ -12,7 +12,6 @@ from .lawcheck import Check, ConsistencyError, Report, ValidationError
 from .heaps import (
     AbGroup,
     Heap,
-    SubHeap,
     closed_subheaps,
     heap_from_group,
     heap_law_report,

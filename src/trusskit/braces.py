@@ -20,7 +20,7 @@ import numpy as np
 from .groups import FiniteGroup, restrict_table
 from .heaps import (
     AbGroup,
-    SubHeap,
+    _members,
     _norm_labels,
     heap_from_group,
     retract,
@@ -94,9 +94,6 @@ class Brace:
 
     def times(self, a, b):
         return int(self.mul.mul[a, b])
-
-    def label_of(self, a):
-        return self.labels[a] if self.labels else str(a)
 
     def __repr__(self):
         return "Brace(order=%d, sided=%s)" % (self.order, self.sided)
@@ -194,7 +191,7 @@ def is_brace_ideal(b, s):
     for two-sided braces the mirrored closure sb - b is required as well.
     Witnesses name the first failing condition.
     """
-    members = tuple(sorted({int(v) for v in s}))
+    members = _members(s, b.order)
     if not members:
         raise ValueError("the empty set is not an ideal candidate")
     mask = np.zeros(b.order, dtype=bool)
@@ -251,13 +248,9 @@ def brace_ideals(b):
 
 
 def ideal_cosets(b, ideal):
-    """The additive cosets of an ideal (the members of B/I), by smallest member.
-
-    An ideal is an additive subgroup, hence a sub-heap, so its closure is
-    not checked again.
-    """
-    heap = b.truss.heap
-    return subheap_relation_classes(heap, SubHeap(heap, ideal, check=False))
+    """The additive cosets of an ideal (the members of B/I), by smallest member
+    (``subheap_relation_classes`` of the additive heap)."""
+    return subheap_relation_classes(b.truss.heap, ideal)
 
 
 def ideal_iff_normal_paragon(b, s, truss=None):
@@ -268,7 +261,7 @@ def ideal_iff_normal_paragon(b, s, truss=None):
     The report records each side and the two equivalences; a failed
     equivalence carries the subset as its witness.
     """
-    members = tuple(sorted({int(v) for v in s}))
+    members = _members(s, b.order)
     t = truss if truss is not None else truss_from_brace(b)
     report = Report("ideal vs normal paragon on %s" % (members,))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heaps import induced_table, morphism_witness, product_heap
+from .heaps import _members, induced_table, morphism_witness, product_heap
 from .lawcheck import ConsistencyError, Report, grid_witness, inherit
 from .modules import TModule, product_module, quotient_module, regular_module
 from .trusses import (
@@ -317,6 +317,7 @@ def split_sequence_check(ext, a):
     the fiber a: each arrow's defining property, and the kernel relation of
     the projection, the blocks {t} x M, as the sub-heap relation of the
     fiber (``_split_failures`` at one fiber)."""
+    (a,) = _members([a], ext.base.order)
     report = Report("split sequence at fiber %d" % a)
     for name, bad in _split_failures(ext, [a]):
         report.add(name, bad is None)

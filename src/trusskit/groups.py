@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heaps import (AbGroup, _element_orders, _norm_labels, _prime_powers, _square_table,
-                    induced_table, pair_table, power)
+from .heaps import (AbGroup, _element_orders, _members, _norm_labels, _prime_powers,
+                    _square_table, induced_table, pair_table, power)
 from .lawcheck import HOLDS, ConsistencyError, Report, ValidationError, associativity_witness
 
 NODE_BUDGET = 1_000_000
@@ -143,7 +143,7 @@ class FiniteGroup:
         induce a multiplication (``induced_table``) exactly when N is normal,
         so that one check is the normality test.
         """
-        narr = np.array(sorted({int(m) for m in normal_members}), dtype=np.int64)
+        narr = np.array(_members(normal_members, self.order), dtype=np.int64)
         if not narr.size or not np.isin(self.mul[np.ix_(narr, narr)], narr).all():
             raise ValueError("members are not a subgroup; quotient undefined")
         cosets = np.sort(self.mul[:, narr], axis=1)  # row g: the coset gN

@@ -16,6 +16,8 @@ distributivity-type law reduces to that check and runs exhaustively.
 Every quotient (heaps, trusses, modules, groups) and congruence test goes
 through ``induced_table``: the table a projection induces on its classes,
 read at their smallest members, and the first cell where it is ill-defined.
+Every subset argument, and every anchor element as ``[e]``, is read by
+``_members``: sorted distinct ints, or ``ValueError`` for one off the carrier.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ def _square_table(table, what):
         raise ValidationError("%s.closure" % what, tuple(bad))
     arr.setflags(write=False)
     return arr
+
+
+def _members(s, n):
+    """``s`` as a sorted tuple of distinct ints, each one in range(n)."""
+    members = tuple(sorted({int(v) for v in s}))
+    if members and (members[0] < 0 or members[-1] >= n):
+        raise ValueError("subset member out of range")
+    return members
 
 
 def _norm_labels(labels, n):
@@ -320,6 +330,7 @@ def heap_from_group(g):
 def retract(h, e):
     """The group [-, e, -] on the heap's carrier, with neutral element ``e``."""
     h._require_nonempty("retract")
+    (e,) = _members([e], h.order)
     if e == h.basepoint:
         return h.retract
     idx = np.arange(h.order)
@@ -336,6 +347,7 @@ def heap_generators(h):
 def translate(h, e, e2):
     """The bijection a -> [a, e, e2]; an isomorphism of the e- and e2-retracts."""
     h._require_nonempty("translate")
+    (e,), (e2,) = _members([e], h.order), _members([e2], h.order)
     return h.bracket_arrays(np.arange(h.order), e, e2)
 
 
@@ -430,7 +442,7 @@ def morphism_witness(rows, dom, cod, at=None):
 
 
 def subheap_witness(h, members):
-    """First (a, b, c) over ``members``, in their order, with [a, b, c] outside them.
+    """First (a, b, c) over ``members``, in sorted order, with [a, b, c] outside them.
 
     Returns None when the members form a sub-heap.  A nonempty S is a
     sub-heap iff [s0, x, y] = s0 - x + y lies in S for all x, y in S: then
@@ -439,7 +451,7 @@ def subheap_witness(h, members):
     s0 comes first, its first failure is the lexicographically first
     witness over S^3.  ``h`` is a heap or a truss (``order``, ``bracket_arrays``).
     """
-    s = np.asarray(members, dtype=np.int64)
+    s = np.array(_members(members, h.order), dtype=np.int64)
     if s.size == 0:
         return None
     mask = np.zeros(h.order, dtype=bool)
@@ -448,41 +460,24 @@ def subheap_witness(h, members):
     return None if w is None else (int(s[0]), int(s[w[0]]), int(s[w[1]]))
 
 
-class SubHeap:
-    """A subset of a heap closed under the bracket (``subheap_witness``).  May be empty."""
-
-    def __init__(self, parent, members, check=True):
-        self.parent = parent
-        members = sorted({int(m) for m in members})
-        if members and (members[0] < 0 or members[-1] >= parent.order):
-            raise ValueError("sub-heap member out of range")
-        self.members = tuple(members)
-        w = subheap_witness(parent, self.members) if check else None
-        if w is not None:
-            raise ValidationError("subheap.closure", w)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __repr__(self):
-        return "SubHeap(%s)" % (self.members,)
-
-
 def subheap_relation_classes(h, s):
     """Partition of the carrier by x ~ y  iff  [x, y, p] lands in s for some p in s.
 
+    ``s`` is a list of members; one that is no sub-heap raises
+    ``ValidationError("subheap.closure")`` with its ``subheap_witness``.
     The class of x is the coset {[x, s0, p] : p in s}, so the classes are
     the distinct rows of one |carrier| x |s| bracket array, ordered by
     smallest member.  s itself is one class and every class has cardinality
     |s|; a violation raises ``ConsistencyError`` since it cannot happen for a
     genuine sub-heap.
     """
-    members = s.members if isinstance(s, SubHeap) else SubHeap(h, s).members
+    members = _members(s, h.order)
     if not members:
         raise ValueError("quotient by empty sub-heap undefined")
+    if (w := subheap_witness(h, members)) is not None:
+        raise ValidationError("subheap.closure", w)
+    if not (h.lawful or h.retract.law_report().ok):  # classes are cosets by the group laws
+        raise ConsistencyError("sub-heap relation classes need a lawful heap")
     sarr = np.array(members)
     rows = np.sort(h.bracket_arrays(np.arange(h.order)[:, None], sarr[0], sarr[None, :]), axis=1)
     if (rows[:, 1:] == rows[:, :-1]).any():
@@ -528,7 +523,8 @@ def subheap_closure(h, e, maps, seeds=()):
     a fixed point.  With a module's action as ``maps``, S is the class
     through e of the least congruence joining e to the seeds.
     """
-    return tuple(np.flatnonzero(_closer(h, e, maps)(np.arange(h.order) == e, seeds)).tolist())
+    close, seeds = _closer(h, e, maps), _members(seeds, h.order)
+    return tuple(np.flatnonzero(close(np.arange(h.order) == e, seeds)).tolist())
 
 
 def closed_subheaps(h, e, maps):
@@ -567,7 +563,7 @@ def induced_table(proj, values, axes=None):
 
 
 def quotient_heap(h, s):
-    """Quotient heap on the ~_s classes, plus the projection map.
+    """Quotient heap on the ~_s classes of the sub-heap with members ``s``, plus the projection.
 
     Returns ``(heap, projection)``, projection[x] the class index of x,
     classes ordered by smallest member.  The quotient's retract is the

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .heaps import (
-    SubHeap,
     _int_table,
+    _members,
     _norm_labels,
     closed_subheaps,
     induced_table,
@@ -156,6 +156,7 @@ def induced_action(mod, t, e, x):
 
 def induced_module(mod, e):
     """The module (M, ._e); its carrier is unchanged and e is an absorber."""
+    (e,) = _members([e], mod.order)
     act = mod.action
     action = mod.heap.bracket_arrays(act, act[:, e][:, None], e)
     return TModule(mod.truss, mod.heap, action, labels=mod.labels)
@@ -169,12 +170,8 @@ def absorbers(mod):
 
 def is_submodule(mod, s):
     """Plain submodule: a sub-heap closed under the action itself."""
-    members = tuple(sorted({int(v) for v in s}))
-    if not members:
-        return False
-    try:
-        SubHeap(mod.heap, members)
-    except ValidationError:
+    members = _members(s, mod.order)
+    if not members or subheap_witness(mod.heap, members) is not None:
         return False
     mask = np.zeros(mod.order, dtype=bool)
     mask[list(members)] = True
@@ -189,7 +186,7 @@ def is_induced_submodule(mod, s):
     [t.x, t.e', e'] = [[t.x, t.e, e], [t.e', t.e, e], e'] in any heap, so on
     a sub-heap one e decides every e' (whatever the action table).
     """
-    members = tuple(sorted({int(v) for v in s}))
+    members = _members(s, mod.order)
     if not members:
         raise ValueError("the empty set is not an induced submodule candidate")
     w = subheap_witness(mod.heap, members)
@@ -268,7 +265,8 @@ def shift_submodule(mod, s, e, x):
     the same size, it is a plain submodule exactly when every t.x lands in
     it, and it is disjoint from the original when x lies outside.
     """
-    members = tuple(sorted({int(v) for v in s}))
+    members = _members(s, mod.order)
+    (x,) = _members([x], mod.order)
     if int(e) not in members:
         raise ValueError("shift anchor e must belong to the submodule")
     ok, witness = is_induced_submodule(mod, members)
@@ -291,11 +289,11 @@ def shift_submodule(mod, s, e, x):
 
 def quotient_module(mod, s):
     """Quotient by an induced submodule, plus the projection map."""
-    members = tuple(sorted({int(v) for v in s}))
+    members = _members(s, mod.order)
     ok, witness = is_induced_submodule(mod, members)
     if not ok:
         raise ValueError("quotient needs an induced submodule; failed %s at %s" % witness)
-    qheap, proj = quotient_heap(mod.heap, SubHeap(mod.heap, members, check=False))
+    qheap, proj = quotient_heap(mod.heap, members)
     qact, w = induced_table(proj, proj[mod.action], axes=(1,))
     if w is not None:
         raise ConsistencyError("class action depends on representatives")

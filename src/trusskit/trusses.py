@@ -15,7 +15,6 @@ import numpy as np
 from .groups import FiniteGroup, closure_rounds, homomorphisms, restrict_table
 from .heaps import (
     AbGroup,
-    SubHeap,
     closed_subheaps,
     heap_from_group,
     heap_generators,
@@ -24,6 +23,7 @@ from .heaps import (
     quotient_heap,
     retract,
     subheap_witness,
+    _members,
     _norm_labels,
     _square_table,
 )
@@ -270,11 +270,9 @@ def is_paragon(t, members):
     For left trusses only lambda closure applies: kinds "left" and "none".
     ``_paragon_reports`` decides a stack of equal-size subsets at once.
     """
-    members = tuple(sorted({int(m) for m in members}))
+    members = _members(members, t.order)
     if not members:
         raise ValueError("the empty set cannot be classified; a paragon is nonempty")
-    if members[0] < 0 or members[-1] >= t.order:
-        raise ValueError("subset member out of range")
     return _paragon_reports(t, [members])[0]
 
 
@@ -359,7 +357,7 @@ def is_normal_paragon(t, p):
     l -> [l, c, a] maps L onto itself, so [L, c, q'] = [L, a, q'] at every
     q'.  n |P| work and memory.
     """
-    members = list(p.members) if isinstance(p, Paragon) else sorted({int(m) for m in p})
+    members = _members(p, t.order)
     if not members:
         raise ValueError("normality of the empty set is undefined")
     if subheap_witness(t, members) is not None:
@@ -402,7 +400,7 @@ def quotient_truss(t, p):
     if t.sided != TWO_SIDED:
         raise ValueError("quotient of a left truss is out of scope; need two-sided")
     p = _as_paragon(t, p)
-    qheap, proj = quotient_heap(t.heap, SubHeap(t.heap, p.members, check=False))
+    qheap, proj = quotient_heap(t.heap, p.members)
     qmul, w = induced_table(proj, proj[t.mul])
     if w is not None:
         raise ConsistencyError("class multiplication depends on representatives")
@@ -557,13 +555,18 @@ def odd_multiple_check(t):
     return True
 
 
-def _invariants(t, r):
-    """Per x, a row that isomorphisms fixing e = r.zero keep: the orders of x, xx and
-    x(xx) in the retract r, whether xx = x, |xT|, |Tx| and |{[xt, t, e] : t in T}|."""
-    idx, sq, orders = np.arange(t.order), np.diag(t.mul), r.element_orders()
+def _invariants(t, es):
+    """Per anchor e in ``es``, the retract r at e and per x a row that isomorphisms
+    fixing e keep: the orders of x, xx and x(xx) in r, whether xx = x, |xT|, |Tx| and
+    |{[xt, t, e] : t in T}|.  The last three are counted once: [xt, t, e2] is
+    [[xt, t, e], e, e2], and a -> [a, e, e2] is a bijection."""
+    idx, sq = np.arange(t.order), np.diag(t.mul)
     widths = [(np.diff(np.sort(m, axis=1), axis=1) != 0).sum(axis=1) + 1
-              for m in (t.mul, t.mul.T, t.bracket_arrays(t.mul, idx, r.zero))]
-    return np.column_stack((orders, orders[sq], orders[t.mul[idx, sq]], sq == idx, *widths))
+              for m in (t.mul, t.mul.T, t.bracket_arrays(t.mul, idx, t.heap.basepoint))]
+    for e in es:
+        r = retract(t.heap, e)
+        orders = r.element_orders()
+        yield r, np.column_stack((orders, orders[sq], orders[t.mul[idx, sq]], sq == idx, *widths))
 
 
 def truss_isomorphism(t1, t2):
@@ -583,16 +586,15 @@ def truss_isomorphism(t1, t2):
     e1, e2s = ((t1.identity, [t2.identity]) if t1.identity is not None
                else (t1.absorber, [t2.absorber]) if t1.absorber is not None
                else (t1.heap.basepoint, range(n)))
-    r1 = retract(t1.heap, e1)
-    ops1, inv1, gens = [r1.add, t1.mul], _invariants(t1, r1), r1.generators.tolist()
+    r1, inv1 = next(_invariants(t1, [e1]))
+    ops1, gens = [r1.add, t1.mul], r1.generators.tolist()
     gens = sorted(gens, key=lambda g: -(inv1 == inv1[g]).all(axis=1).sum())
     for g in list(gens):
         known = np.zeros(n, dtype=bool)
         closure_rounds(ops1, known, [e1] + [h for h in gens if h != g])
         gens = [h for h in gens if h != g or not known.all()]
-    for e2 in e2s:
-        r2 = retract(t2.heap, e2)
-        rows = np.unique(np.vstack((inv1, _invariants(t2, r2))), axis=0,
+    for e2, (r2, inv2) in zip(e2s, _invariants(t2, e2s)):
+        rows = np.unique(np.vstack((inv1, inv2)), axis=0,
                          return_inverse=True)[1].reshape(2, n)
         if np.array_equal(np.sort(rows[0]), np.sort(rows[1])):
             cands = [np.flatnonzero(rows[1] == rows[0, g]).tolist() for g in gens]

@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trusskit import (
     AbGroup,
+    ConsistencyError,
     Heap,
     Report,
-    SubHeap,
     ValidationError,
     heap_from_group,
     heap_law_report,
@@ -16,6 +17,7 @@ from trusskit import (
     retract,
     subheap_closure,
     subheap_relation_classes,
+    subheap_witness,
     translate,
     validate_ternary_table,
 )
@@ -204,9 +206,9 @@ class TestRetractTranslate:
 class TestSubHeapAndQuotient:
     def test_subheap_closure_enforced(self):
         h = heap_from_group(z(4))
-        SubHeap(h, [0, 2])
+        quotient_heap(h, [0, 2])
         with pytest.raises(ValidationError):
-            SubHeap(h, [1, 2])
+            quotient_heap(h, [1, 2])
 
     def test_relation_classes_z4(self):
         h = heap_from_group(z(4))
@@ -229,7 +231,7 @@ class TestSubHeapAndQuotient:
 
     def test_quotient_z4_by_two(self):
         h = heap_from_group(z(4))
-        q, proj = quotient_heap(h, SubHeap(h, [0, 2]))
+        q, proj = quotient_heap(h, [0, 2])
         assert q.order == 2
         assert list(proj) == [0, 1, 0, 1]
         # projection is a heap morphism
@@ -242,12 +244,12 @@ class TestSubHeapAndQuotient:
 
     def test_quotient_by_self_is_singleton(self):
         h = heap_from_group(z(4))
-        q, _ = quotient_heap(h, SubHeap(h, range(4)))
+        q, _ = quotient_heap(h, range(4))
         assert q.order == 1
 
     def test_quotient_by_point_is_identity(self):
         h = heap_from_group(z(4))
-        q, proj = quotient_heap(h, SubHeap(h, [0]))
+        q, proj = quotient_heap(h, [0])
         assert q.order == 4
         assert list(proj) == list(range(4))
         assert q.retract == h.retract
@@ -258,6 +260,65 @@ class TestSubHeapAndQuotient:
         # bracket acts coordinatewise: [(1,2),(0,1),(1,0)] = (0, 1) -> index 1
         a, b, c = 1 * 3 + 2, 0 * 3 + 1, 1 * 3 + 0
         assert h.bracket(a, b, c) == 0 * 3 + 1
+
+
+ORACLE_GROUPS = [z(n) for n in range(1, 13)] + [
+    klein_four(), z(2).direct_sum(z(4)), z(3).direct_sum(z(3)), z(2).direct_sum(z(6))]
+
+
+def _coset(g, c, gens):
+    """c plus the subgroup of g that ``gens`` span."""
+    span = {g.zero}
+    while (grown := span | {int(g.add[x, y]) for x in span for y in gens}) != span:
+        span = grown
+    return {int(g.add[c, x]) for x in span}
+
+
+class TestRelationClassesOracle:
+    """``subheap_relation_classes`` and ``quotient_heap`` against x ~ y iff
+    [x, y, p] lies in S for some p in S, on lawful and corrupted heaps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_classes_are_the_relation_or_an_error(self, data):
+        g = data.draw(st.sampled_from(ORACLE_GROUPS))
+        n, add = g.order, np.array(g.add)
+        if n > 2 and data.draw(st.booleans()):  # swap two cells of a row other than 0's
+            a = data.draw(st.integers(1, n - 1))
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            add[a, [i, j]] = add[a, [j, i]]
+        h = Heap(AbGroup(add, check=False))
+        if data.draw(st.booleans()):
+            s = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        else:  # a sub-heap of the lawful heap on g
+            s = _coset(g, data.draw(st.integers(0, n - 1)),
+                       data.draw(st.lists(st.integers(0, n - 1), max_size=3)))
+        idx, sarr = np.arange(n), np.array(sorted(s))
+        inside = np.isin(idx, sarr)
+        related = inside[h.bracket_arrays(idx[:, None, None], idx[None, :, None], sarr)].any(axis=2)
+        lawful, witness = h.retract.law_report().ok, subheap_witness(h, s)
+        if lawful:  # the |S|^2 slab decides closure under every bracket of S
+            closed = inside[h.bracket_arrays(sarr[:, None, None], sarr[None, :, None], sarr)].all()
+            assert (witness is None) == closed
+        for quotient in (False, True):
+            try:
+                if quotient:
+                    q, proj = quotient_heap(h, list(s))
+                    assert q.order == proj.max() + 1
+                else:
+                    proj = np.full(n, -1)
+                    for k, cls in enumerate(subheap_relation_classes(h, list(s))):
+                        proj[list(cls)] = k
+                    assert (proj >= 0).all()
+            except ValidationError as exc:
+                assert witness is not None
+                assert (exc.law, exc.witness) == ("subheap.closure", witness)
+                continue
+            except ConsistencyError:
+                assert not lawful
+                continue
+            assert witness is None
+            assert (related == (proj[:, None] == proj[None, :])).all()
 
 
 class TestSubheapClosure:

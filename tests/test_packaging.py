@@ -66,3 +66,36 @@ def test_the_unused_import_scan_sees_an_unused_name(tmp_path):
     path.write_text("import numpy as np\nfrom .heaps import AbGroup, Heap\n"
                     "__all__ = ['Heap']\n", encoding="utf-8")
     assert _unused_imports(path) == ["AbGroup", "np"]
+
+
+def _sorted_set_calls(path):
+    """(function, line) of every ``sorted`` call on a set comprehension in ``path``,
+    the function being the innermost one around the call (None at module level)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sorted" and node.args and isinstance(node.args[0], ast.SetComp)):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_heaps_members_normalises_a_member_set():
+    # ``sorted({int(v) for v in s})`` reads a subset; ``heaps._members`` is the one reader
+    calls = [(path.stem, where) for path in sorted((ROOT / "src" / "trusskit").glob("*.py"))
+             for where, _ in _sorted_set_calls(path)]
+    assert calls == [("heaps", "_members")]
+
+
+def test_the_member_set_scan_sees_every_copy(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("top = sorted({v for v in range(3)})\n\n"
+                    "def f(s):\n    def g():\n        return sorted({int(v) for v in s})\n"
+                    "    return g(), sorted(set(s)), sorted([v for v in s])\n", encoding="utf-8")
+    assert _sorted_set_calls(path) == [(None, 1), ("g", 5)]
