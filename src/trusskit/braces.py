@@ -258,14 +258,17 @@ def ideal_iff_normal_paragon(b, s, truss=None):
 
     (1) s is an ideal  iff  s is a normal paragon of the truss containing the
     identity; (2) s lies in B/I for some ideal I  iff  s is a normal paragon.
-    The report records each side and the two equivalences; a failed
-    equivalence carries the subset as its witness.
+    The ideal side is membership in ``brace_ideals(b)``, the sets that pass
+    ``is_brace_ideal``.  A failed equivalence carries the subset as its witness.
     """
     members = _members(s, b.order)
     t = truss if truss is not None else truss_from_brace(b)
     report = Report("ideal vs normal paragon on %s" % (members,))
+    if not members:
+        raise ValueError("the empty set is not an ideal candidate")
 
-    ideal_ok, _ = is_brace_ideal(b, members)
+    ideals = brace_ideals(b)
+    ideal_ok = members in ideals
     result = is_paragon(t, members)
     normal_ok = result.is_paragon and is_normal_paragon(t, result.paragon)
     has_identity = b.identity in members
@@ -276,7 +279,7 @@ def ideal_iff_normal_paragon(b, s, truss=None):
 
     # s lies in B/I exactly when its translate s - s0 through the identity is I
     shifted = b.add.add[list(members), b.add.neg[members[0]]]
-    in_quotient = tuple(sorted(int(v) for v in shifted)) in brace_ideals(b)
+    in_quotient = tuple(sorted(shifted.tolist())) in ideals
     report.note("member_of_some_quotient=%s" % in_quotient)
     ok = in_quotient == normal_ok
     report.add("quotient_member_iff_normal_paragon", ok, None if ok else members)

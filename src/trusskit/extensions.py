@@ -68,8 +68,6 @@ def _ext_mul(base, module, e):
     """mul[(t,x),(t',x')] = (t t', [x, t.e, t.x']) on pairs t*m + x; an array
     of anchors gives one table per anchor, stacked."""
     e = np.asarray(e)
-    if ((e < 0) | (e >= module.order)).any():
-        raise ValueError("anchor out of range")
     n, m = base.order, module.order
     act = module.action
     second = module.heap.bracket_arrays(np.arange(m)[:, None, None],
@@ -85,13 +83,14 @@ def extend(base, module, e):
     """
     if module.truss is not base and module.truss != base:
         raise ValueError("module is not a module over the given base truss")
+    (e,) = _members([e], module.order)
     mul = _ext_mul(base, module, e)
     heap = product_heap(base.heap, module.heap)
     try:
         truss = Truss(heap, mul, sided=base.sided, labels=heap.labels)
     except Exception as exc:
         raise ConsistencyError("extension truss failed its law check: %s" % exc) from exc
-    return ExtTruss(base, module, int(e), truss)
+    return ExtTruss(base, module, e, truss)
 
 
 def as_extension(truss, base, module, e):
@@ -99,10 +98,11 @@ def as_extension(truss, base, module, e):
     else None: one comparison instead of ``extend``'s rebuild and law scan."""
     if module.truss is not base and module.truss != base:
         raise ValueError("module is not a module over the given base truss")
+    (e,) = _members([e], module.order)
     mul = _ext_mul(base, module, e)
     same = (truss.sided == base.sided and np.array_equal(truss.mul, mul)
             and truss.heap == product_heap(base.heap, module.heap))
-    return ExtTruss(base, module, int(e), truss) if same else None
+    return ExtTruss(base, module, e, truss) if same else None
 
 
 def _first(fails):
@@ -152,12 +152,13 @@ def anchor_iso(ext, e2):
     verified by ``_anchor_isos``.  The e2-anchored table gets no law scan:
     phi carries every law over, so it keeps the extension's verdict when that holds.
     """
+    (e2,) = _members([e2], ext.m)
     tables, phis = _anchor_isos(ext, [e2])
     t1 = ext.truss
     # phi is a verified isomorphism, so t2 is lawful when t1 is; unscanned otherwise
     t2 = inherit(Truss(t1.heap, tables[0], sided=t1.sided, labels=t1.labels, check=False),
                  t1.lawful)
-    return ExtTruss(ext.base, ext.module, int(e2), t2), phis[0]
+    return ExtTruss(ext.base, ext.module, e2, t2), phis[0]
 
 
 def ext_action(ext, pair, x):

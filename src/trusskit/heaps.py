@@ -467,19 +467,23 @@ def subheap_relation_classes(h, s):
     ``ValidationError("subheap.closure")`` with its ``subheap_witness``.
     The class of x is the coset {[x, s0, p] : p in s}, so the classes are
     the distinct rows of one |carrier| x |s| bracket array, ordered by
-    smallest member.  s itself is one class and every class has cardinality
-    |s|; a violation raises ``ConsistencyError`` since it cannot happen for a
-    genuine sub-heap.
+    smallest member.  On a lawful heap the rows of s decide the sub-heap (x -
+    s0 + p in s closes s - s0 under +); else ``subheap_witness`` decides.  s
+    is one class and every class has |s| members: a violation raises
+    ``ConsistencyError`` since it cannot happen for a genuine sub-heap.
     """
     members = _members(s, h.order)
     if not members:
         raise ValueError("quotient by empty sub-heap undefined")
-    if (w := subheap_witness(h, members)) is not None:
-        raise ValidationError("subheap.closure", w)
-    if not (h.lawful or h.retract.law_report().ok):  # classes are cosets by the group laws
-        raise ConsistencyError("sub-heap relation classes need a lawful heap")
-    sarr = np.array(members)
-    rows = np.sort(h.bracket_arrays(np.arange(h.order)[:, None], sarr[0], sarr[None, :]), axis=1)
+    sarr, mask = np.array(members), np.zeros(h.order, dtype=bool)
+    mask[sarr] = True
+    rows = h.bracket_arrays(np.arange(h.order)[:, None], sarr[0], sarr[None, :])
+    if not (h.lawful and mask[rows[sarr]].all()):
+        if (w := subheap_witness(h, members)) is not None:
+            raise ValidationError("subheap.closure", w)
+        if not (h.lawful or h.retract.law_report().ok):  # classes are cosets by the group laws
+            raise ConsistencyError("sub-heap relation classes need a lawful heap")
+    rows = np.sort(rows, axis=1)
     if (rows[:, 1:] == rows[:, :-1]).any():
         raise ConsistencyError("sub-heap relation classes are not equal-size cosets")
     proj = np.unique(rows[:, 0], return_inverse=True)[1]  # classes by smallest member

@@ -133,8 +133,7 @@ def trivial_module(t, heap):
 
 def zero_module(t, heap, e=None):
     """Every truss element sends everything to ``e`` (default: the basepoint)."""
-    if e is None:
-        e = heap.basepoint
+    (e,) = _members([heap.basepoint if e is None else e], heap.order)
     action = np.full((t.order, heap.order), e, dtype=np.int64)
     return TModule(t, heap, action)
 

@@ -344,9 +344,9 @@ def is_normal_paragon(t, p):
     contains the identity it agrees with set-wise normality tP = Pt (taking
     q = 1 gives xP = Px for every x); unlike tP = Pt it survives shifting P
     along the heap, so every member of a quotient by an ideal (singletons
-    off-centre included) is normal.  Accepts a Paragon or a member set that
-    is a sub-heap (``ValueError`` otherwise); one-sided paragons are
-    legitimate inputs (normality is a property of the subset alone).
+    off-centre included) is normal.  Accepts a sub-heap's members (``ValueError``
+    otherwise) or a Paragon, taken as verified when its parent is ``t``; one-sided
+    paragons are legitimate inputs (normality is a property of the subset alone).
 
     One q decides, q = min(P).  Write L_q(x) and R_q(x) for the two sets,
     a = [xq', xq, q] and c = [q'x, qx, q]: then lambda_q'(x, p) =
@@ -357,10 +357,11 @@ def is_normal_paragon(t, p):
     l -> [l, c, a] maps L onto itself, so [L, c, q'] = [L, a, q'] at every
     q'.  n |P| work and memory.
     """
-    members = _members(p, t.order)
-    if not members:
+    if isinstance(p, Paragon) and p.parent is t:
+        members = p.members
+    elif not (members := _members(p, t.order)):
         raise ValueError("normality of the empty set is undefined")
-    if subheap_witness(t, members) is not None:
+    elif subheap_witness(t, members) is not None:
         raise ValueError("normality is defined on sub-heaps; the subset is not one")
     n, q, sarr = t.order, members[0], np.array(members)
     xs = np.arange(n)[:, None]

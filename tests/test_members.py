@@ -7,6 +7,7 @@ import pytest
 from trusskit import (
     AbGroup,
     Brace,
+    anchor_iso,
     closed_subheaps,
     cyclic_group,
     extend,
@@ -28,8 +29,10 @@ from trusskit import (
     subheap_relation_classes,
     subheap_witness,
     translate,
+    zero_module,
     zn_truss,
 )
+from trusskit.extensions import as_extension
 from trusskit.heaps import _members
 
 # Every carrier below has order 4; {0, 2} is a sub-heap, an ideal of T(Z_4),
@@ -65,6 +68,10 @@ ANCHORS = {
     "induced_module": lambda e: induced_module(MOD, e),
     "shift_submodule.x": lambda e: shift_submodule(MOD, [0, 2], 0, e),
     "split_sequence_check": lambda e: split_sequence_check(EXT, e),
+    "zero_module.e": lambda e: zero_module(T, H, e),
+    "extend": lambda e: extend(T, MOD, e),
+    "as_extension": lambda e: as_extension(EXT.truss, T, MOD, e),
+    "anchor_iso": lambda e: anchor_iso(EXT, e),
 }
 
 OFF_CARRIER = [-4, -1, 4, 5]  # -4 and -1 would wrap to 0 and 3
