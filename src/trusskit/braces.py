@@ -39,7 +39,6 @@ from .trusses import (
     TWO_SIDED,
     Truss,
     _paragon_reports,
-    is_normal_paragon,
     is_paragon,
     truss_law_report,
     units,
@@ -144,23 +143,24 @@ def brace_from_truss(t):
 
 
 def _unit_brace(t, add, us, labels):
-    """The brace with (+) ``add`` on the units ``us`` (None: all) of ``t``: a lawful
-    ``t`` hands its verdict on to (+), (B, .) and the truss, else (+) is scanned first."""
+    """The brace with (+) ``add`` on the units ``us`` (None: all) of ``t``, built
+    unscanned from a lawful ``t``; from any other, (+) is scanned first."""
+    # the retract at 1 of a lawful heap, or of its unit sub-heap, is an abelian group
     inherit(add, t.lawful, AbGroup.law_report)
     mul = t.mul if us is None else restrict_table(t.mul, us)
+    # the units of an associative product with identity form a group under it
     mulgroup = inherit(FiniteGroup(mul, labels=labels, check=False), t.lawful,
                        FiniteGroup.law_report)
     b = Brace(add, mulgroup, sided=t.sided, labels=labels, check=not t.lawful)
+    # b.truss is t, or t restricted to its units, a sub-truss: t's laws hold on it
     inherit(b.truss, t.lawful)
     return b
 
 
 def truss_from_brace(b):
-    """The truss of a brace: bracket [a, b, c] = a - b + c, same multiplication.
-
-    It is ``b.truss``, whose distributive laws are the brace laws.  A lawful
-    brace has settled them; the truss of any other brace is scanned, once.
-    """
+    """The truss of a brace, ``b.truss``: bracket [a, b, c] = a - b + c, same
+    multiplication.  The truss of a brace that is not lawful is scanned, once."""
+    # the brace laws are b.truss's distributive laws, so a lawful brace decided them
     return inherit(b.truss, b.lawful, truss_law_report)
 
 
@@ -270,7 +270,7 @@ def ideal_iff_normal_paragon(b, s, truss=None):
     ideals = brace_ideals(b)
     ideal_ok = members in ideals
     result = is_paragon(t, members)
-    normal_ok = result.is_paragon and is_normal_paragon(t, result.paragon)
+    normal_ok = result.is_paragon and result.normal
     has_identity = b.identity in members
     report.note("ideal=%s normal_paragon=%s contains_identity=%s"
                 % (ideal_ok, normal_ok, has_identity))

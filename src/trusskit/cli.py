@@ -76,6 +76,8 @@ def cmd_scan_units(args):
     n_max = args.max
     if n_max > 64:
         raise ValueError("scan bound is 64")
+    if n_max < 2:
+        raise ValueError("scan starts at n = 2")
     report = Report("units paragon scan n = 2..%d" % n_max)
     hits = []
     for n in range(2, n_max + 1):

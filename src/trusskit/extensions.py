@@ -26,7 +26,6 @@ from .lawcheck import ConsistencyError, Report, grid_witness, inherit
 from .modules import TModule, product_module, quotient_module, regular_module
 from .trusses import (
     LEFT,
-    Paragon,
     Truss,
     _paragon_reports,
     inverse_in,
@@ -195,16 +194,17 @@ def module_over_extension(ext):
 
 
 def _fiber_kinds(ext, fibers):
-    """(kinds, failures) of the fibers {a} x M, a in ``fibers``: their
-    ``is_paragon`` kinds, all fibers at once (``_paragon_reports``), and the
+    """(reports, failures) of the fibers {a} x M, a in ``fibers``: their
+    ``is_paragon`` reports, all fibers at once (``_paragon_reports``), and the
     checks ``fiber_paragon`` makes of them, for ``_raise_first``."""
     a = np.asarray(fibers)
-    kinds = [r.kind for r in _paragon_reports(ext.truss, a[:, None] * ext.m + np.arange(ext.m))]
+    reports = _paragon_reports(ext.truss, a[:, None] * ext.m + np.arange(ext.m))
+    kinds = [r.kind for r in reports]
     if ext.base.sided == LEFT:
         bad = _first([kind != "left" for kind in kinds])
-        return kinds, [(bad, "fiber {a} x M is not a left paragon: %s" % kinds[bad or 0])]
+        return reports, [(bad, "fiber {a} x M is not a left paragon: %s" % kinds[bad or 0])]
     bad = _first([kind not in ("two-sided", "ideal") for kind in kinds])
-    return kinds, [
+    return reports, [
         (bad, "fiber {a} x M failed to classify as a paragon: %s" % kinds[bad or 0]),
         (_first((np.array(kinds) == "ideal") != (a == ext.base.absorber)),
          "fiber ideal test disagrees with base absorber test")]
@@ -234,9 +234,9 @@ def fiber_paragon(ext, a):
     Returns (paragon, quotient, projection, iso) (``_fiber_quotient``).  The
     fiber is an ideal exactly when a is an absorber of the base.
     """
-    kinds, failures = _fiber_kinds(ext, [a])
+    reports, failures = _fiber_kinds(ext, [a])
     _raise_first(failures)
-    paragon = Paragon(ext.truss, a * ext.m + np.arange(ext.m), kinds[0])
+    paragon = reports[0].paragon
     if ext.base.sided == LEFT:
         return paragon, None, None, None
     return (paragon,) + _fiber_quotient(ext, paragon)
@@ -392,10 +392,10 @@ def extension_clause_report(base, module, e):
         return value
 
     def fibers():  # as a loop over the fibers would: the quotient at a = 0
-        kinds, failures = _fiber_kinds(ext, np.arange(n))
+        reports, failures = _fiber_kinds(ext, np.arange(n))
         _raise_first([f for f in failures if f[0] == 0])
         if base.sided != LEFT:
-            _fiber_quotient(ext, Paragon(ext.truss, np.arange(m), kinds[0]))
+            _fiber_quotient(ext, reports[0].paragon)
         bad = next((a for a, _, name in split if name == "kernel_matches_fiber_relation"), None)
         _raise_first(failures + [(bad, "fiber %s has another sub-heap relation" % bad)])
 

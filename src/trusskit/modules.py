@@ -117,11 +117,9 @@ def module_law_report(mod, seed=None):
 
 
 def regular_module(t):
-    """The truss acting on itself by multiplication.
-
-    Its laws are exactly the truss's, so it is built unscanned: a lawful
-    truss hands its verdict on, and ``module_law_report`` reads any other's.
-    """
+    """The truss acting on itself by multiplication, built unscanned: a lawful
+    truss hands its verdict on, and ``module_law_report`` reads any other's."""
+    # the regular module's laws are exactly the truss's laws
     return inherit(TModule(t, t.heap, t.mul, labels=t.labels, check=False), t.lawful)
 
 

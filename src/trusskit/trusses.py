@@ -22,7 +22,6 @@ from .heaps import (
     morphism_witness,
     quotient_heap,
     retract,
-    subheap_witness,
     _members,
     _norm_labels,
     _square_table,
@@ -224,7 +223,7 @@ class Paragon:
 
     ``kind`` is "left", "right", "two-sided" or "ideal".  Closure holds for
     every q in the member set: on a sub-heap, closure at one q implies it at
-    every q (see ``is_paragon``).
+    every q (see ``is_paragon``).  Only ``_paragon_reports`` builds one.
     """
 
     def __init__(self, parent, members, kind):
@@ -248,16 +247,38 @@ class ParagonReport:
 
     ``kind`` is the strongest classification ("none" if not even a sub-heap,
     or a sub-heap with no closure).  ``failures`` maps the laws that failed
-    to their first witnesses.
+    to their first witnesses.  On a sub-heap, ``translates`` feed ``normal``.
     """
 
     kind: str
     paragon: Paragon | None = None
     failures: dict = field(default_factory=dict)
+    translates: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_paragon(self):
         return self.kind in ("two-sided", "ideal")
+
+    @property
+    def normal(self):
+        """Whether L_q(x) = {lambda_q(x, p)} and R_q(x) = {rho_q(p, x)}, p in P,
+        agree for every x (``is_normal_paragon``); None off sub-heaps.
+        ``translates`` holds [lambda_q(x, p)] and [rho_q(p, x)] over (x, p).
+
+        One q decides, q = min(P).  With a = [xq', xq, q] and c = [q'x, qx, q],
+        lambda_q'(x, p) = [lambda_q(x, p), a, q'] and rho_q'(p, x) =
+        [rho_q(p, x), c, q'], so L_q'(x) = [L_q(x), a, q'] and R_q'(x) =
+        [R_q(x), c, q'].  L_q(x) is a sub-heap (the image of P under the heap
+        morphism p -> [xp, xq, q]) that holds a, and R_q(x) holds c; once the
+        two sets are one sub-heap L, l -> [l, c, a] maps L onto itself, so
+        [L, c, q'] = [L, a, q'] at every q'.  Two n x n masks.
+        """
+        if self.translates is None:
+            return None
+        n = self.translates.shape[1]
+        seen = np.zeros((2, n, n), dtype=bool)  # seen[side, x, v]: v in L_q(x), R_q(x)
+        seen[np.arange(2)[:, None, None], np.arange(n)[:, None], self.translates] = True
+        return bool(np.array_equal(seen[0], seen[1]))
 
 
 def is_paragon(t, members):
@@ -303,8 +324,8 @@ def _paragon_reports(t, sets):
     prods = np.concatenate([t.mul[idx, sets[:, None, :]][:, None], t.mul[sets[:, None, :], idx][:, None]],
                            axis=1)
     at_q = np.concatenate([t.mul[idx, q][:, None], t.mul[q, idx][:, None]], axis=1)
-    inside = mask[np.concatenate([prods, t.bracket_arrays(prods, at_q, q[:, None])], axis=1)
-                  + off[:, None]]
+    translates = t.bracket_arrays(prods, at_q, q[:, None])
+    inside = mask[np.concatenate([prods, translates], axis=1) + off[:, None]]
     left_in, right_in, lam_ok, rho_ok = inside.all(axis=(2, 3)).T.tolist()
     for j in live:
         row, failures = rows[j], {}
@@ -319,7 +340,8 @@ def _paragon_reports(t, sets):
             raise ConsistencyError("an ideal failed paragon closure; theory violated")
         kind = ("ideal" if ideal else "two-sided" if lam_j and rho_j else "left" if lam_j
                 else "right" if rho_j else "none")
-        out[j] = ParagonReport(kind, None if kind == "none" else Paragon(t, row, kind), failures)
+        out[j] = ParagonReport(kind, None if kind == "none" else Paragon(t, row, kind), failures,
+                               translates[j])
     return out
 
 
@@ -344,50 +366,20 @@ def is_normal_paragon(t, p):
     contains the identity it agrees with set-wise normality tP = Pt (taking
     q = 1 gives xP = Px for every x); unlike tP = Pt it survives shifting P
     along the heap, so every member of a quotient by an ideal (singletons
-    off-centre included) is normal.  Accepts a sub-heap's members (``ValueError``
-    otherwise) or a Paragon, taken as verified when its parent is ``t``; one-sided
-    paragons are legitimate inputs (normality is a property of the subset alone).
-
-    One q decides, q = min(P).  Write L_q(x) and R_q(x) for the two sets,
-    a = [xq', xq, q] and c = [q'x, qx, q]: then lambda_q'(x, p) =
-    [lambda_q(x, p), a, q'] and rho_q'(p, x) = [rho_q(p, x), c, q'], so
-    L_q'(x) = [L_q(x), a, q'] and R_q'(x) = [R_q(x), c, q'].  L_q(x) is a
-    sub-heap (the image of P under the heap morphism p -> [xp, xq, q]) that
-    holds a, and R_q(x) holds c; once the two sets are one sub-heap L,
-    l -> [l, c, a] maps L onto itself, so [L, c, q'] = [L, a, q'] at every
-    q'.  n |P| work and memory.
+    off-centre included) is normal.  Reads a sub-heap's members, or a Paragon's
+    (``ValueError`` off sub-heaps); one-sided paragons are legitimate inputs.
+    ``ParagonReport.normal`` of one ``_paragon_reports`` pass decides it.
     """
-    if isinstance(p, Paragon) and p.parent is t:
-        members = p.members
-    elif not (members := _members(p, t.order)):
+    if not (members := _members(p, t.order)):
         raise ValueError("normality of the empty set is undefined")
-    elif subheap_witness(t, members) is not None:
+    normal = _paragon_reports(t, [members])[0].normal
+    if normal is None:
         raise ValueError("normality is defined on sub-heaps; the subset is not one")
-    n, q, sarr = t.order, members[0], np.array(members)
-    xs = np.arange(n)[:, None]
-    # [x, j]: lambda_q(x, p_j) and rho_q(p_j, x)
-    left = t.bracket_arrays(t.mul[:, sarr], t.mul[:, q][:, None], q)
-    right = t.bracket_arrays(t.mul[sarr].T, t.mul[q][:, None], q)
-    left_in = np.zeros((n, n), dtype=bool)
-    right_in = np.zeros((n, n), dtype=bool)
-    left_in[xs, left] = True
-    right_in[xs, right] = True
-    return bool(np.array_equal(left_in, right_in))
+    return normal
 
 
 # One body, two names: the benchmark's tracer (perfbench/tracer.py) looks up both.
 is_shift_normal = is_normal_paragon
-
-
-def _as_paragon(t, p):
-    if isinstance(p, Paragon):
-        if p.parent is not t:
-            p = is_paragon(t, p.members).paragon
-    else:
-        p = is_paragon(t, p).paragon
-    if p is None or p.kind not in ("two-sided", "ideal"):
-        raise ValueError("subset is not a paragon of the required kind")
-    return p
 
 
 def quotient_truss(t, p):
@@ -397,10 +389,15 @@ def quotient_truss(t, p):
     is the one ``mul`` induces (``induced_table``, every pair checked);
     identity and absorber classes propagate automatically.  A quotient of a
     lawful truss, a homomorphic image, is lawful unscanned; otherwise it is scanned.
+    A Paragon of ``t`` is not classified again: ``quotient_heap`` re-verifies
+    its sub-heap and ``induced_table`` the congruence.
     """
     if t.sided != TWO_SIDED:
         raise ValueError("quotient of a left truss is out of scope; need two-sided")
-    p = _as_paragon(t, p)
+    if not (isinstance(p, Paragon) and p.parent is t):
+        p = is_paragon(t, p).paragon
+    if p is None or p.kind not in ("two-sided", "ideal"):
+        raise ValueError("subset is not a paragon of the required kind")
     qheap, proj = quotient_heap(t.heap, p.members)
     qmul, w = induced_table(proj, proj[t.mul])
     if w is not None:
@@ -431,7 +428,8 @@ def group_from_units(t):
         raise ValueError("truss has no identity; no unit group")
     us = units(t)
     labels = [t.labels[u] for u in us] if t.labels else None
-    return FiniteGroup(restrict_table(t.mul, us), labels=labels, check=not t.lawful)
+    return inherit(FiniteGroup(restrict_table(t.mul, us), labels=labels, check=False), t.lawful,
+                   FiniteGroup.law_report)
 
 
 def inverse_in(t, u):

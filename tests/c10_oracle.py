@@ -2,14 +2,18 @@
 
 The function as it was before it took the ideal side from the brace's kept
 ideal list: it runs ``is_brace_ideal`` on the subset, and
-``is_normal_paragon`` reads and tests the paragon's members again.
-Differential tests pit the library function against it.
+``is_normal_paragon`` reads and tests the paragon's members again, with its
+own lambda and rho arrays (``normal_oracle``), so the verdict does not come
+from the report ``is_paragon`` keeps.  Differential tests pit the library
+function against it.
 """
 
 from trusskit.braces import brace_ideals, is_brace_ideal, truss_from_brace
 from trusskit.heaps import _members
 from trusskit.lawcheck import Report
-from trusskit.trusses import is_normal_paragon, is_paragon
+from trusskit.trusses import is_paragon
+
+from normal_oracle import is_normal_paragon
 
 
 def ideal_iff_normal_paragon(b, s, truss=None):

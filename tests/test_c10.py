@@ -112,8 +112,8 @@ def test_unscanned_braces_with_corrupted_products(data):
 
 
 class TestNormalParagonContract:
-    """A Paragon of ``t`` is taken as verified; any other input is read and
-    tested as a sub-heap first."""
+    """Every input, a Paragon of ``t`` included, is read as its member list
+    and tested as a sub-heap first."""
 
     @pytest.mark.parametrize("t", [za_truss(2, 4), zn_truss(8), truss_from_brace(_brace16())],
                              ids=["za2_4", "z8", "brace16"])

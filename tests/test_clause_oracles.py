@@ -365,8 +365,9 @@ def _other_trusses():
 def test_fiber_kinds_match_is_paragon_on_other_trusses(name):
     base, truss = _other_trusses()[name]
     ext = ExtTruss(base, regular_module(base), 0, truss)
-    kinds, _ = extensions._fiber_kinds(ext, np.arange(4))
-    assert kinds == [is_paragon(truss, 4 * a + np.arange(4)).kind for a in range(4)]
+    reports, _ = extensions._fiber_kinds(ext, np.arange(4))
+    assert [r.kind for r in reports] == [is_paragon(truss, 4 * a + np.arange(4)).kind
+                                         for a in range(4)]
     for a in range(4):
         outcomes = []
         for fiber in (fiber_paragon, oracle_fiber_paragon):

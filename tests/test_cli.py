@@ -116,6 +116,18 @@ class TestScanUnits:
         code, err = _run_main(["scan-units", "--max", "100"])
         assert code == 2 and err == "input error: scan bound is 64\n"
 
+    @pytest.mark.parametrize("n_max,code,error", [
+        ("65", 2, "input error: scan bound is 64\n"), ("64", 0, ""),
+        ("2", 0, ""), ("1", 2, "input error: scan starts at n = 2\n"),
+        ("-5", 2, "input error: scan starts at n = 2\n")])
+    def test_both_bounds(self, n_max, code, error):
+        got, out, err = _main_streams(["scan-units", "--max", n_max])
+        assert got == code
+        if error:
+            assert (out, err) == ("", error)
+        else:
+            assert "result: PASS" in out and err.startswith("elapsed ")
+
 
 class TestExtendQuotientBrace:
     def test_extend_pipeline(self, za24_files, tmp_path, capsys):

@@ -40,6 +40,7 @@ from trusskit import (
     heap_from_group,
     ideal_cosets,
     ideal_iff_normal_paragon,
+    is_normal_paragon,
     is_paragon,
     module_law_report,
     paragons,
@@ -72,6 +73,7 @@ from trusskit.lawcheck import Report, associativity_witness
 from trusskit.trusses import ParagonReport
 
 from basis_oracle import abelian_coordinates
+from normal_oracle import normal_or_none
 
 ORACLE = settings(max_examples=150, deadline=None)
 
@@ -762,6 +764,7 @@ def _compare_paragon(t, members):
     assert isinstance(got, ParagonReport)
     members_got = None if got.paragon is None else got.paragon.members
     assert (got.kind, members_got, got.failures) == _paragon_oracle(t, members)
+    assert got.normal == normal_or_none(t, members)
 
 
 @pytest.mark.parametrize("name,build", [("za2_8", lambda: za_truss(2, 8)),
@@ -779,6 +782,7 @@ def _stack_matches_oracle(t, sets):
     for got, members in zip(trusses._paragon_reports(t, sets), sets, strict=True):
         members_got = None if got.paragon is None else got.paragon.members
         assert (got.kind, members_got, got.failures) == _paragon_oracle(t, members)
+        assert got.normal == normal_or_none(t, members)
 
 
 @pytest.mark.parametrize("name,build", [("za2_8", lambda: za_truss(2, 8)),
@@ -819,6 +823,32 @@ def test_paragon_random_order_16_subsets_match_all_q_oracle(data):
                 break
             members = grown
     _compare_paragon(t, sorted(members))
+
+
+@ORACLE
+@given(st.data())
+def test_normality_on_lawful_and_corrupted_tables_matches_oracle(data):
+    """``ParagonReport.normal`` and ``is_normal_paragon`` against the oracle's
+    own lambda and rho arrays, on ``_truss_table``'s tables (order <= 12, up
+    to three corrupted product cells, two-sided and left), for one drawn set
+    and the sub-heap a few of its members generate."""
+    heap, mul, sided = _truss_table(data)
+    try:
+        t = Truss(heap, mul, sided=sided, check=False)
+    except ConsistencyError:  # the corruption made two absorbers
+        return
+    members = sorted(data.draw(st.sets(st.integers(0, t.order - 1), min_size=1)))
+    grown, before = set(members[:3]), None
+    while grown != before:
+        before, grown = grown, grown | {t.bracket(*abc) for abc in itertools.product(grown, repeat=3)}
+    for s in (members, sorted(grown)):
+        want = normal_or_none(t, s)
+        assert is_paragon(t, s).normal == want
+        if want is None:
+            with pytest.raises(ValueError, match="normality is defined on sub-heaps"):
+                is_normal_paragon(t, s)
+        else:
+            assert is_normal_paragon(t, s) == want
 
 
 # ----------------------------------------------------------- ternary tables

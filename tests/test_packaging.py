@@ -99,3 +99,50 @@ def test_the_member_set_scan_sees_every_copy(tmp_path):
                     "def f(s):\n    def g():\n        return sorted({int(v) for v in s})\n"
                     "    return g(), sorted(set(s)), sorted([v for v in s])\n", encoding="utf-8")
     assert _sorted_set_calls(path) == [(None, 1), ("g", 5)]
+
+
+def _paragon_builds(path):
+    """(function, line) of every ``Paragon(...)`` call in ``path``, the function
+    being the innermost one around the call (None at module level)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "Paragon"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "Paragon"):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_paragon_reports_builds_a_paragon():
+    # a Paragon is trusted as classified; ``trusses._paragon_reports`` is the one classifier
+    calls = [(path.stem, where) for path in sorted((ROOT / "src" / "trusskit").glob("*.py"))
+             for where, _ in _paragon_builds(path)]
+    assert calls == [("trusses", "_paragon_reports")]
+
+
+def test_the_paragon_scan_sees_every_build(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("top = Paragon(t, [0], 'ideal')\n\n"
+                    "def f(t):\n    def g():\n        return trusses.Paragon(t, [0], 'left')\n"
+                    "    return g(), ParagonReport('none'), Paragon\n", encoding="utf-8")
+    assert _paragon_builds(path) == [(None, 1), ("g", 5)]
+
+
+def test_a_hand_built_paragon_is_read_as_its_members():
+    from trusskit import ValidationError, is_normal_paragon, quotient_truss, zn_truss
+    from trusskit.trusses import Paragon
+
+    t = zn_truss(4)
+    p = Paragon(t, [0, 1], "ideal")  # {0, 1} is no sub-heap of Z_4
+    with pytest.raises(ValueError, match="normality is defined on sub-heaps"):
+        is_normal_paragon(t, p)
+    with pytest.raises(ValidationError) as err:
+        quotient_truss(t, p)
+    assert err.value.law == "subheap.closure"

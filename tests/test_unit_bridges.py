@@ -250,7 +250,7 @@ def test_a_lawful_truss_hands_its_verdict_on(calls, build):
     t = build()
     assert t.lawful and t.heap.retract.lawful
     calls.clear()
-    group_from_units(t)
+    assert group_from_units(t).lawful
     units_brace(t)
     if is_brace_type(t):
         truss_from_brace(brace_from_truss(t))
