@@ -25,7 +25,7 @@ from .lawcheck import ConsistencyError, Report, grid_witness, inherit
 from .modules import TModule
 from .trusses import Truss, is_paragon, quotient_truss, truss_from_ring, units
 
-MAX_ORDER = 256  # the largest group ring, truncated polynomial ring or end truss built
+MAX_ORDER = 256  # the largest group ring, truncated polynomial ring or end truss; the CLI's bound
 
 
 @dataclass
@@ -309,10 +309,9 @@ def trunc_poly_truss(k, n):
     """Z_{2^k}[x]/(x^n) as a truss, with labels like '1+2x+x^2'."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
+    if k * n >= MAX_ORDER.bit_length():  # exactly when 2^(kn) > MAX_ORDER; 2^(kn) is never formed
+        raise ValueError("carrier order 2^%d exceeds the bound %d" % (k * n, MAX_ORDER))
     q = 2 ** k
-    order = q ** n
-    if order > MAX_ORDER:
-        raise ValueError("carrier order %d exceeds the bound %d" % (order, MAX_ORDER))
 
     def monomial(c, d):
         if c == 0:

@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
 from . import jsonio
 from .braces import Brace, brace_from_truss, brace_law_report, socle
 from .catalog import (
+    MAX_ORDER,
     end_truss,
     group_ring,
     group_ring_paragon_report,
@@ -29,7 +31,7 @@ from .catalog import (
     zn_truss,
 )
 from .extensions import ExtTruss, extension_clause_report
-from .groups import FiniteGroup, group_from_spec, identification_report
+from .groups import FiniteGroup, group_from_spec, identification_report, spec_order
 from .heaps import AbGroup, Heap
 from .lawcheck import Report, ValidationError
 from .modules import TModule
@@ -195,10 +197,13 @@ def cmd_identify(args):
     return report, {}
 
 
-def _abgroup_from_spec(spec):
+def _end_group(spec, bound):
+    """The abelian group of a spec like '2x4', once ``bound`` passes the order of
+    its endomorphism extension, |G| |End(G)|: |End(+ Z_a)| is the product of gcd(a, b)."""
     parts = [int(p) for p in spec.replace("x", ",").split(",") if p]
     if not parts:
         raise ValueError("empty abelian group spec")
+    bound(math.prod(parts) * math.prod(math.gcd(a, b) for a in parts for b in parts))
     return functools.reduce(AbGroup.direct_sum, map(AbGroup.cyclic, parts))
 
 
@@ -214,14 +219,23 @@ def cmd_catalog(args):
     if len(params) != CATALOG_ARITY[family]:
         raise ValueError("catalog %s: expected %d parameter(s), got %d"
                          % (family, CATALOG_ARITY[family], len(params)))
+    title = "catalog %s %s" % (family, " ".join(params))
+
+    def bound(order):  # a member's order, from its parameters, before any table is built
+        if order > MAX_ORDER:
+            raise ValueError("%s: order exceeds the bound %d" % (title, MAX_ORDER))
+
     # Each constructor raises on a broken law, so its laws held once it returns.
-    report = Report("catalog %s %s" % (family, " ".join(params)))
+    report = Report(title)
     if family in ("zn", "za"):
+        bound(int(params[-1]))
         build = zn_truss if family == "zn" else za_truss
         t = build(*map(int, params))
         report.add("construction_laws", True)
         return report, {"truss": t}
     if family == "group-ring":
+        bound(int(params[0]))  # the two tables group_ring reads; it bounds the ring itself
+        bound(spec_order(params[1]))
         gr = group_ring(zn_ring(int(params[0])), group_from_spec(params[1]))
         report.extend(group_ring_paragon_report(gr))
         return report, {"truss": gr.ring.truss()}
@@ -235,7 +249,7 @@ def cmd_catalog(args):
         )
         report.add("unit_inverse_series", inverses_ok)
         return report, {"truss": tp.truss}
-    ext = end_truss(_abgroup_from_spec(params[0]))
+    ext = end_truss(_end_group(params[0], bound))
     report.add("evaluation_extension_product_formula", True)
     report.add("construction_laws", True)
     return report, {"truss": ext}

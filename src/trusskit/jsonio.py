@@ -16,11 +16,13 @@ the base, module, anchor and pairing convention.
 
 ``validate(doc)`` is the one reader.  It first checks that the document, and
 every document nested in it, is an object of a known kind with that kind's
-required fields, and raises ``ValueError`` naming what is missing.  Then it
-builds the structure once with ``check=False`` and returns it with a report:
-the kind's law reports, the declared ``zero``, ``identity`` and ``absorber``,
-and the ``extension`` (compared with T[M; e], not rebuilt) as named checks,
-and a law a constructor rejects as a failing check with its witness.
+required fields, each field of ``_TYPES`` null or of its JSON type, and raises
+``ValueError`` naming what is wrong.  Then it builds the structure once with
+``check=False``, reading ``[]`` as an empty table of the expected shape, and
+returns it with a report: the kind's law reports, the declared ``zero``,
+``identity`` and ``absorber``, and the ``extension`` (compared with T[M; e],
+not rebuilt) as named checks, and a law a constructor rejects as a failing
+check with its witness.
 ``from_jsonable`` is ``validate`` followed by ``Report.raise_invalid``.
 
 Files are read as bytes and decoded by ``orjson`` as strict UTF-8 JSON: NaN,
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import orjson
 
 from .braces import Brace, _brace_laws
@@ -48,22 +51,13 @@ def _labels(obj):
 
 
 def to_jsonable(obj):
-    if isinstance(obj, AbGroup):
+    if isinstance(obj, (AbGroup, Heap)):  # a heap is stored as its basepoint's retract
+        group = obj if isinstance(obj, AbGroup) else obj.retract
         return {
-            "kind": "abgroup",
+            "kind": "abgroup" if group is obj else "heap",
             "order": obj.order,
-            "add": obj.add.tolist(),
-            "zero": obj.zero,
-            "labels": _labels(obj),
-        }
-    if isinstance(obj, Heap):
-        if obj.order == 0:
-            return {"kind": "heap", "order": 0, "add": [], "zero": None, "labels": None}
-        return {
-            "kind": "heap",
-            "order": obj.order,
-            "add": obj.retract.add.tolist(),
-            "zero": obj.basepoint,
+            "add": [] if group is None else group.add.tolist(),
+            "zero": None if group is None else group.zero,
             "labels": _labels(obj),
         }
     if isinstance(obj, Truss):
@@ -123,16 +117,22 @@ _FIELDS = {
     "group": {"mul": None},
 }
 _EXTENSION = {"base": "truss", "module": "tmodule", "anchor": None}
+# the JSON type of each field that holds an integer or the labels; null is "not declared"
+_TYPES = {"order": int, "zero": int, "identity": int, "absorber": int, "anchor": int, "labels": list}
 
 
 def _check_fields(obj, fields, where):
     if not isinstance(obj, dict):
         raise ValueError("%s is not a JSON object" % where)
     for field, kind in fields.items():
-        if field not in obj:
+        if obj.get(field) is None:
             raise ValueError("%s lacks the field %r" % (where, field))
         if kind is not None:
             _check_document(obj[field], "%s.%s" % (where, field), kind)
+    for field, kind in _TYPES.items():  # a bool is no integer: its type is bool
+        if obj.get(field) is not None and type(obj[field]) is not kind:
+            raise ValueError("%s.%s must be %s, not %s"
+                             % (where, field, kind.__name__, type(obj[field]).__name__))
 
 
 def _check_document(doc, where="document", expect=None):
@@ -146,8 +146,11 @@ def _check_document(doc, where="document", expect=None):
     _check_fields(doc, {} if empty_heap else _FIELDS[kind], where)
     if kind == "truss" and "extension" in doc:
         _check_fields(doc["extension"], _EXTENSION, where + ".extension")
-        if not isinstance(doc["extension"]["anchor"], int):
-            raise ValueError("%s.extension.anchor is not an integer" % where)
+
+
+def _table(rows, shape):
+    """A table as read: ``[]``, the written form of every empty table, has ``shape``."""
+    return np.empty(shape, dtype=np.int64) if rows == [] and 0 in shape else rows
 
 
 def _declared(report, doc, field, value):
@@ -183,8 +186,8 @@ def _read(doc):
             heap = part(doc["heap"])
             if heap is None:
                 return None, report
-            t = Truss(heap, doc["mul"], sided=doc.get("sided", TWO_SIDED), labels=labels,
-                      check=False)
+            t = Truss(heap, _table(doc["mul"], (heap.order,) * 2),
+                      sided=doc.get("sided", TWO_SIDED), labels=labels, check=False)
             report.extend(truss_law_report(t))
             _declared(report, doc, "identity", t.identity)
             _declared(report, doc, "absorber", t.absorber)
@@ -200,7 +203,8 @@ def _read(doc):
             truss, heap = part(doc["truss"]), part(doc["heap"])
             if truss is None or heap is None:
                 return None, report
-            mod = TModule(truss, heap, doc["action"], labels=labels, check=False)
+            mod = TModule(truss, heap, _table(doc["action"], (truss.order, heap.order)),
+                          labels=labels, check=False)
             return mod, report.extend(module_law_report(mod))
         if kind == "brace":
             add = AbGroup(doc["add"], labels=labels, check=False)

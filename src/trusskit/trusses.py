@@ -36,12 +36,13 @@ LEFT = "left"
 class Truss:
     """Heap plus multiplication table; ``sided`` is "two-sided" or "left".
 
-    The identity and absorber are detected by table scan.  The laws are
-    scanned once and the witness triple kept (``law_witnesses``; ``mul`` is
-    read-only): with ``check``, in ``truss_from_ring`` or at the first
-    ``truss_law_report``.  Made from a lawful truss, a quotient, the opposite,
-    a change of anchor and a brace's truss inherit it (``lawcheck.inherit``).
-    ``lawful`` says the kept triple is all None and the heap is lawful.
+    One table scan (``_scan``) finds the identity and the absorber.  The
+    laws are scanned once and the witness triple kept (``law_witnesses``;
+    ``mul`` is read-only): with ``check``, at the first ``truss_law_report``
+    or in ``truss_from_ring``, whose ring checks read it.  Made from a lawful
+    truss, a quotient, the opposite, a change of anchor and a brace's truss
+    inherit it (``lawcheck.inherit``).  ``lawful`` says the kept triple is
+    all None and the heap is lawful.
     """
 
     def __init__(self, heap, mul, sided=TWO_SIDED, labels=None, check=True):
@@ -54,8 +55,9 @@ class Truss:
         self.sided = sided
         self.order = heap.order
         self.labels = _norm_labels(labels, self.order) or heap.labels
-        self.identity = self._scan_identity()
-        self.absorber = self._scan_absorber()
+        idx = np.arange(self.order)
+        self.identity = self._scan(idx, "identity")
+        self.absorber = self._scan(idx[:, None], "absorber")
         self._laws = None  # witness triple of the one law scan
         if check:
             truss_law_report(self).raise_invalid()
@@ -73,16 +75,12 @@ class Truss:
                           if self.order else HOLDS)
         return self._laws
 
-    def _scan_identity(self):
-        idx = np.arange(self.order)
-        hits = np.flatnonzero(((self.mul == idx) & (self.mul.T == idx)).all(axis=1))
-        return int(hits[0]) if hits.size else None
-
-    def _scan_absorber(self):
-        idx = np.arange(self.order)[:, None]
-        hits = np.flatnonzero(((self.mul == idx) & (self.mul.T == idx)).all(axis=1))
+    def _scan(self, values, name):
+        """The x whose row and column both equal ``values`` broadcast at x: ``arange``
+        finds the identity, the column of the x themselves the absorber; else None."""
+        hits = np.flatnonzero(((self.mul == values) & (self.mul.T == values)).all(axis=1))
         if hits.size > 1:
-            raise ConsistencyError("more than one absorber; tables are inconsistent")
+            raise ConsistencyError("more than one %s; tables are inconsistent" % name)
         return int(hits[0]) if hits.size else None
 
     def bracket(self, a, b, c):
@@ -153,7 +151,7 @@ def truss_law_report(t, seed=None):
     opens with the heap's failing checks; over such a heap it lists
     associativity alone.  ``seed`` is ignored.
     """
-    n, mul = t.order, t.mul
+    n = t.order
     report = Report.over("truss laws (order %d)" % n,
                          (t.heap.lawful, lambda: t.heap.retract.law_report()))
     assoc, left, right = t.law_witnesses()
@@ -169,43 +167,38 @@ def truss_law_report(t, seed=None):
         report.add("truss.right_distributive", right is None, right)
     else:
         report.note("right distributivity skipped (left truss)")
-    idx = np.arange(n)
-    if t.identity is not None:
-        report.add("truss.identity_row", bool((mul[t.identity] == idx).all()))
-    if t.absorber is not None:
-        report.add("truss.absorber_row", bool((mul[t.absorber] == t.absorber).all()))
+    for name, found in (("truss.identity_row", t.identity), ("truss.absorber_row", t.absorber)):
+        if found is not None:  # the constructor's scan found its whole row and column
+            report.add(name, True)
     return report
 
 
-def truss_from_ring(add, mul, labels=None, sided=TWO_SIDED):
+def truss_from_ring(add, mul, labels=None):
     """The truss of a ring: same multiplication, addition replaced by its heap.
 
-    Validates the ring laws exhaustively.  A map is additive exactly when it
-    is a heap morphism fixing zero, so ring distributivity is the truss
-    distributivity of ``morphism_witness`` plus "the ring zero is the
-    absorber"; a failure is reported as a ring instance (a, b, c) of
-    a(b + c) != ab + ac (or its mirror).  Right law in full, left law on
-    generator rows and associativity on generator triples, as in
-    ``truss_law_report``, after ``add``'s kept (or scanned) group laws.  The
-    truss keeps that scan's triple.
+    Validates the ring laws exhaustively, after ``add``'s kept (or scanned)
+    group laws.  A map is additive exactly when it is a heap morphism fixing
+    zero, so ring distributivity is truss distributivity plus "the ring zero
+    is the absorber".  The truss laws are the truss's own scan,
+    ``Truss.law_witnesses``, which the truss keeps; a failure is reported as
+    a ring instance (a, b, c) of a(b + c) != ab + ac (or its mirror).
     """
     if not isinstance(add, AbGroup):
         add = AbGroup(add, check=False)
     add.law_report().raise_invalid()
-    mul = _square_table(mul, "ring")
-    heap = heap_from_group(add)
-    w, left, right = _law_witnesses(mul, mul, heap, heap, TWO_SIDED, mul_lawful=True)
+    t = Truss(heap_from_group(add), _square_table(mul, "ring"), labels=labels, check=False)
+    w, left, right = t.law_witnesses()
     if w is not None:
         raise ValidationError("ring.associative", w)
     zero = add.zero
-    for law, rows, w in (("ring.left_distributive", mul, left),
-                         ("ring.right_distributive", mul.T, right)):
+    for law, rows, w in (("ring.left_distributive", t.mul, left),
+                         ("ring.right_distributive", t.mul.T, right)):
         moved = np.flatnonzero(rows[:, zero] != zero)
         if moved.size:
             raise ValidationError(law, (moved[0], zero, zero))
         if w is not None:
             raise ValidationError(law, (w[0], w[1], w[3]))
-    return inherit(Truss(heap, mul, sided=sided, labels=labels, check=False), True)  # just scanned
+    return t
 
 
 def lambda_q(t, x, p, q):

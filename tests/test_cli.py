@@ -8,6 +8,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -728,3 +729,203 @@ def test_cli_battery_on_large_files(n, tmp_path):
         code, out, err = _main_streams(argv)
         assert code == 1 and out == ""
         assert err == "validation error: truss.associative fails at %s\n" % witness
+
+
+# Fields with a JSON type: the anchor must be an integer (not null), the
+# declared zero, identity and absorber an integer or null, the labels a list
+# or null.  A bool is no integer.  Each document validated with exit 0 before.
+def _typed_field_documents():
+    from trusskit import extend
+
+    z2, z4 = zn_truss(2), jsonio.to_jsonable(zn_truss(4))
+    ext = jsonio.to_jsonable(extend(z2, regular_module(z2), 1))
+    return {
+        "anchor_true": (dict(ext, extension=dict(ext["extension"], anchor=True)),
+                        "document.extension.anchor must be int, not bool"),
+        "identity_true": (dict(z4, identity=True), "document.identity must be int, not bool"),
+        "absorber_false": (dict(z4, absorber=False), "document.absorber must be int, not bool"),
+        "zero_float": (dict(z4, heap=dict(z4["heap"], zero=0.0)),
+                       "document.heap.zero must be int, not float"),
+        "labels_string": (dict(z4, labels="wxyz"), "document.labels must be list, not str"),
+    }
+
+
+_TYPED_FIELDS = _typed_field_documents()
+
+
+@pytest.mark.parametrize("case", sorted(_TYPED_FIELDS))
+def test_field_of_the_wrong_json_type_is_an_input_error(case, tmp_path):
+    doc, message = _TYPED_FIELDS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "identify"):
+        code, out, err = _main_streams([command, str(path)])
+        assert (code, out, err) == (2, "", "input error: %s\n" % message)
+
+
+def test_null_fields_are_not_declared(tmp_path):
+    doc = dict(jsonio.to_jsonable(zn_truss(4)), identity=None, absorber=None, labels=None)
+    doc["heap"]["zero"] = None
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _main_streams(["validate", str(path)])
+    assert code == 0 and "declared_" not in out
+
+
+# Each family's order is worked out from its parameters before a table is
+# built.  These values stay out of the hypothesis parameter list above, so
+# that a regression fails here instead of allocating.
+@pytest.mark.parametrize("argv, message", [
+    (["zn", "257"], None),
+    (["zn", "100000"], None),
+    (["za", "2", "257"], None),
+    (["za", "2", "100000"], None),
+    (["group-ring", "257", "cyclic:2"], None),
+    (["group-ring", "100000", "cyclic:2"], None),
+    (["group-ring", "2", "cyclic:257"], None),
+    (["group-ring", "1", "cyclic:100000"], None),
+    (["group-ring", "2", "cyclic:9"], "group ring order 512 exceeds the bound 256"),
+    (["trunc-poly", "257", "2"], "carrier order 2^514 exceeds the bound 256"),
+    (["trunc-poly", "100000", "2"], "carrier order 2^200000 exceeds the bound 256"),
+    (["trunc-poly", "1", "9"], "carrier order 2^9 exceeds the bound 256"),
+    (["end", "257"], None),
+    (["end", "100000"], None),
+    (["end", "2x2x2"], None),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_catalog_order_past_the_bound_is_an_input_error(argv, message):
+    """None: the bound the command checks before it builds anything."""
+    message = message or "catalog %s: order exceeds the bound 256" % " ".join(argv)
+    code, out, err = _main_streams(["catalog"] + argv)
+    assert (code, out, err) == (2, "", "input error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv", [["zn", "256"], ["za", "2", "256"], ["trunc-poly", "1", "8"]])
+def test_catalog_order_at_the_bound_is_built(argv):
+    code, out, _ = _main_streams(["catalog"] + argv)
+    assert code == 0 and "result: PASS" in out
+
+
+def test_empty_structures_round_trip():
+    from trusskit import AbGroup, Heap, TModule, Truss, heap_from_group
+
+    empty = Truss(Heap.empty(), np.zeros((0, 0), dtype=np.int64))
+    over_empty = TModule(empty, heap_from_group(AbGroup.cyclic(3)),
+                         np.zeros((0, 3), dtype=np.int64))
+    onto_empty = TModule(zn_truss(2), Heap.empty(), np.zeros((2, 0), dtype=np.int64))
+    for obj in (Heap.empty(), empty, over_empty, onto_empty):
+        back = jsonio.loads(jsonio.dumps(obj))
+        assert type(back) is type(obj) and jsonio.dumps(back) == jsonio.dumps(obj)
+    assert jsonio.loads(jsonio.dumps(empty)) == empty
+    assert jsonio.loads(jsonio.dumps(over_empty)).action.shape == (0, 3)
+
+
+def _input_error_cases():
+    """name -> (call, exception type, message, document for ``validate`` or
+    None, its exit code)."""
+    from trusskit import (AbGroup, Brace, TModule, Truss, cyclic_group, end_truss,
+                          heap_from_group, inverse_in, product_module, quotient_truss,
+                          validate_ternary_table)
+    from trusskit.lawcheck import ValidationError
+    from trusskit.modules import quotient_module, shift_submodule
+
+    z4 = zn_truss(4)
+    doc = jsonio.to_jsonable(z4)
+    no_identity = Truss(heap_from_group(AbGroup.cyclic(3)), np.zeros((3, 3), dtype=np.int64))
+    small = jsonio.to_jsonable(Brace(AbGroup.cyclic(2), cyclic_group(2)))
+    return {
+        "truss_sided": (lambda: Truss(z4.heap, z4.mul, sided="right"), ValueError,
+                        "sided must be 'two-sided' or 'left'", dict(doc, sided="right"), 2),
+        "truss_size": (lambda: Truss(z4.heap, z4.mul[:3, :3]), ValueError,
+                       "multiplication table does not match the heap order",
+                       dict(doc, mul=[row[:3] for row in doc["mul"][:3]]), 2),
+        "module_shape": (lambda: TModule(z4, z4.heap, z4.mul[:, :3]), ValidationError,
+                         "action table must be n x m",
+                         {"kind": "tmodule", "truss": doc, "heap": doc["heap"],
+                          "action": [row[:3] for row in doc["mul"]]}, 1),
+        "module_closure": (lambda: TModule(z4, z4.heap, np.full((4, 4), 4)), ValidationError,
+                           "module.closure fails at (0, 0)",
+                           {"kind": "tmodule", "truss": doc, "heap": doc["heap"],
+                            "action": [[4] * 4] * 4}, 1),
+        "quotient_truss_left_paragon": (
+            lambda: quotient_truss(end_truss(AbGroup.cyclic(2)).truss, [0, 2]), ValueError,
+            "subset is not a paragon of the required kind", None, None),
+        "inverse_in_no_identity": (lambda: inverse_in(no_identity, 0), ValueError,
+                                   "truss has no identity; inverses undefined", None, None),
+        "quotient_module": (lambda: quotient_module(regular_module(z4), [0, 1]), ValueError,
+                            "quotient needs an induced submodule; failed subheap at (0, 1, 0)",
+                            None, None),
+        "shift_submodule": (lambda: shift_submodule(regular_module(z4), [0, 1], 0, 2),
+                            ValueError,
+                            "shift needs an induced submodule; failed subheap at (0, 1, 0)",
+                            None, None),
+        "product_module": (lambda: product_module(regular_module(z4),
+                                                  regular_module(zn_truss(2))), ValueError,
+                           "product module needs both factors over the same truss", None, None),
+        "brace_sizes": (lambda: Brace(AbGroup.cyclic(2), cyclic_group(3)), ValueError,
+                        "additive and multiplicative tables differ in size",
+                        dict(small, mul=[[0, 1, 2], [1, 2, 0], [2, 0, 1]], labels=None), 2),
+        "ternary_not_cubic": (lambda: validate_ternary_table(np.zeros((2, 2, 3), dtype=int)),
+                              ValidationError, "expected an n*n*n table", None, None),
+        "ternary_out_of_range": (lambda: validate_ternary_table(np.full((2, 2, 2), 2)),
+                                 ValidationError, "ternary.closure fails at (0, 0, 0)",
+                                 None, None),
+        "ternary_empty_list": (lambda: validate_ternary_table([]), ValidationError,
+                               "expected an n*n*n table", None, None),
+        "jsonio_nested_heap": (lambda: jsonio.validate(dict(doc, heap=[1, 2])), ValueError,
+                               "document.heap is not a heap document (kind None)",
+                               dict(doc, heap=[1, 2]), 2),
+        "jsonio_nested_extension": (lambda: jsonio.validate(dict(doc, extension=[0])),
+                                    ValueError, "document.extension is not a JSON object",
+                                    dict(doc, extension=[0]), 2),
+    }
+
+
+_INPUT_ERRORS = _input_error_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_ERRORS))
+def test_input_error_paths(case, tmp_path):
+    call, kind, message, doc, code = _INPUT_ERRORS[case]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message
+    if doc is None:
+        return
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    got, out, stderr = _main_streams(["validate", str(path)])
+    assert got == code
+    if code == 2:
+        assert (out, stderr) == ("", "input error: %s\n" % message)
+    else:  # the constructor's ValidationError is the report's failing check
+        assert "[FAIL] %s" % err.value.law in out
+
+
+def test_ternary_table_of_order_zero_is_the_empty_heap():
+    from trusskit import Heap, validate_ternary_table
+
+    assert validate_ternary_table(np.zeros((0, 0, 0), dtype=int)) == Heap.empty()
+
+
+def test_brace_command_on_a_brace_file(tmp_path, capsys):
+    from trusskit import brace_from_truss
+
+    path = tmp_path / "brace.json"
+    jsonio.write_file(path, brace_from_truss(za_truss(2, 4)))
+    code, out = run_cli(["brace", str(path)], capsys)
+    assert code == 0
+    for line in ("[ok  ] brace.left_law", "[ok  ] brace.right_law", "note: socle (0, 2)",
+                 "note: additive group C4", "note: multiplicative group C2xC2",
+                 "[ok  ] socle_is_ideal", "result: PASS"):
+        assert line in out
+
+
+def test_quotient_by_label_names(tmp_path, capsys):
+    doc = dict(jsonio.to_jsonable(zn_truss(4)), labels=["a", "b", "c", "d"])
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps(doc))
+    by_name = run_cli(["quotient", str(path), "b, d"], capsys)
+    by_index = run_cli(["quotient", str(path), "1,3"], capsys)
+    assert by_name[0] == by_index[0] == 0
+    assert by_name[1].splitlines()[1:] == by_index[1].splitlines()[1:]
+    assert "quotient by (1, 3)" in by_name[1] and "isomorphic to T(Z_2)" in by_name[1]

@@ -83,6 +83,33 @@ class TestNamedGroups:
             FiniteGroup([[0, 1], [1, 1]])
 
 
+class TestOneSidedTables:
+    """The identity and the inverses of a group table are read off its rows
+    and its columns: a one-sided scan would accept the tables below."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_right_zero_table_has_no_identity(self, n):
+        # x.y = y: associative, every row is the identity map, every x has a
+        # right inverse, but no column is the identity map
+        table = np.tile(np.arange(n), (n, 1))
+        for check in (True, False):
+            with pytest.raises(ValidationError) as err:
+                FiniteGroup(table, check=check)
+            assert (err.value.law, err.value.witness) == ("group.identity", None)
+
+    def test_one_sided_inverse_is_no_inverse(self):
+        table = [[0, 1, 2], [1, 1, 0], [2, 2, 2]]  # 0 is a two-sided identity
+        assert table[1][2] == 0 and table[2][1] != 0  # 2 is only a right inverse of 1
+        with pytest.raises(ValidationError) as err:
+            FiniteGroup(table, check=False)
+        assert (err.value.law, err.value.witness) == ("group.inverse", (1,))
+
+    @pytest.mark.parametrize("spec", ["cyclic:1", "dihedral:8*cyclic:2", " quaternion * cyclic:3",
+                                      "cyclic:2*cyclic:2*cyclic:2"])
+    def test_spec_order_is_the_built_order(self, spec):
+        assert groups.spec_order(spec) == group_from_spec(spec).order
+
+
 class TestAbelianInvariants:
     def brute_torsion_count(self, g, k):
         # independent oracle: number of x with k.x = identity

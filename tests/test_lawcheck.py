@@ -72,6 +72,7 @@ from trusskit.trusses import opposite_truss
 from trusskit.lawcheck import Report, associativity_witness
 from trusskit.trusses import ParagonReport
 
+import scan_oracle
 from basis_oracle import abelian_coordinates
 from normal_oracle import normal_or_none
 
@@ -1591,3 +1592,106 @@ def test_truss_from_ring_reads_the_additive_group_verdict():
         with pytest.raises(ValidationError) as err:
             truss_from_ring(add, [[0, 0], [0, 0]])
         assert (err.value.law, err.value.witness) == ("group.commutative", (0, 1))
+
+
+# ------------------------------------------- one copy of each table fact
+
+class TestOneCopyOfEachTableFact:
+    """The identity, absorber and inverse finders, the report lines that read
+    them and ``truss_from_ring`` on its truss's own law scan, against the
+    bodies they replaced (``scan_oracle``), on lawful and corrupted tables."""
+
+    @ORACLE
+    @given(st.data())
+    def test_identity_and_absorber_are_the_two_old_scans(self, data):
+        t = data.draw(st.sampled_from(_trusses()))
+        mul = _corrupt(data, t.mul, t.order)
+        new = Truss(t.heap, mul, sided=t.sided, check=False)
+        assert (new.identity, new.absorber) == (scan_oracle.scan_identity(mul),
+                                                scan_oracle.scan_absorber(mul))
+        lines = {c.name: c.passed for c in truss_law_report(new).checks}
+        if new.identity is not None:
+            assert scan_oracle.identity_row(new) and lines.get("truss.identity_row", True)
+        if new.absorber is not None:
+            assert scan_oracle.absorber_row(new) and lines.get("truss.absorber_row", True)
+        if new.heap.lawful:  # the lines are listed whenever distributivity is
+            assert ("truss.identity_row" in lines) == (new.identity is not None)
+            assert ("truss.absorber_row" in lines) == (new.absorber is not None)
+
+    @staticmethod
+    def _old_or_error(find):
+        try:
+            return find()
+        except ValidationError as err:
+            return err.law, err.witness
+
+    @ORACLE
+    @given(st.data())
+    def test_finite_group_identity_and_inverses(self, data):
+        g = data.draw(st.sampled_from(_finite_groups() + [FiniteGroup.from_abgroup(a)
+                                                          for a in GROUPS]))
+        mul = _corrupt(data, g.mul, g.order)
+
+        def old():
+            e = scan_oracle.find_group_identity(mul)
+            return e, scan_oracle.find_group_inverse(mul, e).tolist()
+        expected = self._old_or_error(old)
+        try:
+            new = FiniteGroup(mul, check=False)
+        except ValidationError as err:
+            assert (err.law, err.witness) == expected
+            return
+        assert (new.id, new.inv.tolist()) == expected
+        assert scan_oracle.group_inverse(new)
+        assert _check(new.law_report(), "group.inverse").passed
+
+    @ORACLE
+    @given(st.data())
+    def test_abgroup_zero_and_negatives(self, data):
+        g = data.draw(st.sampled_from(GROUPS))
+        add = _corrupt(data, g.add, g.order)
+
+        def old():
+            zero = scan_oracle.find_zero(add)
+            return zero, scan_oracle.find_neg(add, zero).tolist()
+        expected = self._old_or_error(old)
+        try:
+            new = AbGroup(add, check=False)
+        except ValidationError as err:
+            assert (err.law, err.witness) == expected
+            return
+        assert (new.zero, new.neg.tolist()) == expected
+        assert scan_oracle.abgroup_inverse(new)
+        assert _check(new.law_report(), "group.inverse").passed
+        other = data.draw(st.sampled_from(GROUPS))
+        for a, b in ((new, g), (g, new), (new, other), (new, heap_from_group(new))):
+            assert (a == b) == scan_oracle.abgroup_eq(a, b)
+        h1, h2 = heap_from_group(new), data.draw(st.sampled_from([heap_from_group(g),
+                                                                   Heap.empty()]))
+        for a, b in ((h1, h2), (h2, h1), (h1, heap_from_group(new)), (h1, new)):
+            assert (a == b) == scan_oracle.heap_eq(a, b)
+        for h in (h1, h2):
+            assert jsonio.to_jsonable(h) == scan_oracle.group_or_heap_jsonable(h)
+        assert jsonio.to_jsonable(new) == scan_oracle.group_or_heap_jsonable(new)
+
+    @ORACLE
+    @given(st.data())
+    def test_truss_from_ring_matches_its_old_body(self, data):
+        add, mul = data.draw(st.sampled_from(_rings()))
+        mul = _corrupt(data, mul, add.order)
+        try:
+            old = scan_oracle.truss_from_ring(add, mul)
+        except ValidationError as err:
+            with pytest.raises(ValidationError) as new_err:
+                truss_from_ring(add, mul)
+            assert (new_err.value.law, new_err.value.witness) == (err.law, err.witness)
+            return
+        new = truss_from_ring(add, mul)
+        assert new == old and new.lawful and old.lawful
+        assert (new.identity, new.absorber) == (old.identity, old.absorber)
+
+    def test_group_equality_reads_the_table(self):
+        groups = _finite_groups() + [cyclic_group(4), quaternion_group()]
+        for a in groups:
+            for b in groups + [GROUPS[3]]:
+                assert (a == b) == scan_oracle.group_eq(a, b)
