@@ -11,6 +11,7 @@ everything the structure is built from.  The normal-paragon characterisation
 of brace ideals and the socle live here as well, with "normal paragon" the
 translate-stable normality of ``trusses.is_normal_paragon``: it agrees with
 tP = Pt on paragons through the identity and holds on each member of B/I.
+The ideals come from ``heaps._closed_sets``, the one lattice enumerator.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .groups import FiniteGroup, restrict_table
 from .heaps import (
     AbGroup,
+    _closed_sets,
     _members,
     _norm_labels,
     heap_from_group,
@@ -227,24 +229,17 @@ def is_brace_ideal(b, s):
 
 
 def brace_ideals(b):
-    """All ideals, found by enumerating subgroups of (B, .) and filtering."""
-    if b._ideals is not None:
-        return b._ideals
-    seen = {(b.identity,)}
-    frontier = [(b.identity,)]
-    while frontier:
-        sub = frontier.pop()
-        for x in range(b.order):
-            if x in sub:
-                continue
-            grown = b.mul.closure(set(sub) | {x})
-            if grown not in seen:
-                seen.add(grown)
-                frontier.append(grown)
-    ideals = [sub for sub in sorted(seen, key=lambda s: (len(s), s))
-              if is_brace_ideal(b, sub)[0]]
-    b._ideals = ideals
-    return ideals
+    """All ideals: the sets ``heaps._closed_sets`` reaches from {identity} by
+    ``FiniteGroup.closure`` that pass ``is_brace_ideal``, so every product-closed
+    set through the identity that passes, on a corrupted (.) table too."""
+    def close(inside, seeds):
+        return np.bincount(b.mul.closure(np.concatenate((np.flatnonzero(inside), seeds))),
+                           minlength=b.order) > 0
+
+    if b._ideals is None:
+        b._ideals = [s for s in _closed_sets(close, np.arange(b.order) == b.identity)
+                     if is_brace_ideal(b, s)[0]]
+    return b._ideals
 
 
 def ideal_cosets(b, ideal):

@@ -122,10 +122,10 @@ def _parse_subset(t, text):
     names = [s.strip() for s in text.split(",") if s.strip()]
     members = []
     for name in names:
-        if name.isdigit() or (name.startswith("-") and name[1:].isdigit()):
-            members.append(int(name))
-        elif t.labels and name in t.labels:
+        if t.labels and name in t.labels:  # a label first: "1" may name index 2
             members.append(t.labels.index(name))
+        elif name.isdigit() or (name.startswith("-") and name[1:].isdigit()):
+            members.append(int(name))
         else:
             raise ValueError("subset member %r is neither an index nor a label" % name)
     return members

@@ -16,6 +16,7 @@ distributivity-type law reduces to that check and runs exhaustively.
 Every quotient (heaps, trusses, modules, groups) and congruence test goes
 through ``induced_table``: the table a projection induces on its classes,
 read at their smallest members, and the first cell where it is ill-defined.
+Every lattice of closed sets (sub-heaps, brace ideals) comes from ``_closed_sets``.
 Every subset argument, and every anchor element as ``[e]``, is read by
 ``_members``: sorted distinct ints, or ``ValueError`` for one off the carrier.
 """
@@ -522,15 +523,12 @@ def subheap_closure(h, e, maps, seeds=()):
     return tuple(np.flatnonzero(close(np.arange(h.order) == e, seeds)).tolist())
 
 
-def closed_subheaps(h, e, maps):
-    """Every closed sub-heap through e (``subheap_closure``), sorted by size,
-    then members: the principal closures of {e, a}, then their joins until
-    no new set appears (R. Freese, "Computing congruences efficiently",
-    Algebra Universalis 59 (2008)).  A heap has a Mal'cev term, so a
-    congruence is fixed by its class through e: one set per congruence.
-    """
-    close, bottom = _closer(h, e, maps), np.arange(h.order) == e
-    found = {p.tobytes(): p for p in (close(bottom, [a]) for a in range(h.order))}
+def _closed_sets(close, bottom):
+    """Every set ``close(inside, seeds)`` reaches from the mask ``bottom``,
+    sorted by size, then members: the principal closures of ``bottom`` with
+    each element, then their joins until no new set appears (R. Freese,
+    "Computing congruences efficiently", Algebra Universalis 59 (2008))."""
+    found = {p.tobytes(): p for p in (close(bottom, [a]) for a in range(bottom.size))}
     principal = frontier = list(found.values())
     while frontier:
         joins = (close(x, np.flatnonzero(p & ~x)) for x in frontier for p in principal
@@ -538,6 +536,13 @@ def closed_subheaps(h, e, maps):
         frontier = [found.setdefault(j.tobytes(), j) for j in joins if j.tobytes() not in found]
     sets = (tuple(np.flatnonzero(m).tolist()) for m in found.values())
     return sorted(sets, key=lambda s: (len(s), s))
+
+
+def closed_subheaps(h, e, maps):
+    """Every closed sub-heap through e (``subheap_closure``), sorted by size,
+    then members, by ``_closed_sets`` from {e}.  A heap has a Mal'cev term, so
+    a congruence is fixed by its class through e: one set per congruence."""
+    return _closed_sets(_closer(h, e, maps), np.arange(h.order) == e)
 
 
 def induced_table(proj, values, axes=None):

@@ -177,16 +177,16 @@ def truss_from_ring(add, mul, labels=None):
     """The truss of a ring: same multiplication, addition replaced by its heap.
 
     Validates the ring laws exhaustively, after ``add``'s kept (or scanned)
-    group laws.  A map is additive exactly when it is a heap morphism fixing
-    zero, so ring distributivity is truss distributivity plus "the ring zero
-    is the absorber".  The truss laws are the truss's own scan,
-    ``Truss.law_witnesses``, which the truss keeps; a failure is reported as
-    a ring instance (a, b, c) of a(b + c) != ab + ac (or its mirror).
+    group laws and ``Truss``'s read of ``mul`` (``truss.*`` errors).  A map is
+    additive exactly when it is a heap morphism fixing zero, so ring
+    distributivity is truss distributivity plus "the ring zero is the
+    absorber".  The truss laws are its kept ``Truss.law_witnesses``; a failure
+    is reported as a ring instance (a, b, c) of a(b + c) != ab + ac (or mirror).
     """
     if not isinstance(add, AbGroup):
         add = AbGroup(add, check=False)
     add.law_report().raise_invalid()
-    t = Truss(heap_from_group(add), _square_table(mul, "ring"), labels=labels, check=False)
+    t = Truss(heap_from_group(add), mul, labels=labels, check=False)
     w, left, right = t.law_witnesses()
     if w is not None:
         raise ValidationError("ring.associative", w)

@@ -929,3 +929,29 @@ def test_quotient_by_label_names(tmp_path, capsys):
     assert by_name[0] == by_index[0] == 0
     assert by_name[1].splitlines()[1:] == by_index[1].splitlines()[1:]
     assert "quotient by (1, 3)" in by_name[1] and "isomorphic to T(Z_2)" in by_name[1]
+
+
+def test_quotient_by_digit_labels_that_are_not_their_indices(tmp_path, capsys):
+    """A name that is a label names that element, before it is read as an index:
+    on Z_2[x]/(x^2), labelled 0, x, 1, 1+x, the units 1 and 1+x are (2, 3)."""
+    from trusskit import trunc_poly_truss
+
+    t = trunc_poly_truss(1, 2).truss
+    assert t.labels == ("0", "x", "1", "1+x")
+    path = tmp_path / "poly1_2.json"
+    jsonio.write_file(path, t)
+    code, out = run_cli(["quotient", str(path), "1,1+x"], capsys)
+    assert code == 0
+    for line in ("report: quotient by (2, 3)", "[ok  ] subset_is_paragon (two-sided)",
+                 "note: quotient isomorphic to T(Z_2)"):
+        assert line in out
+    # an integer that is no label is still an index: 3 names 1+x
+    by_index = run_cli(["quotient", str(path), "1,3"], capsys)
+    assert by_index[0] == 0 and by_index[1].splitlines()[1:] == out.splitlines()[1:]
+
+
+def test_quotient_by_digits_on_a_file_labelled_by_its_indices(z4_file, capsys):
+    """On Z_4 every label is its own index, so a digit reads the same either way."""
+    assert jsonio.read_file(z4_file).labels == ("0", "1", "2", "3")
+    code, out = run_cli(["quotient", z4_file, "1,3"], capsys)
+    assert code == 0 and "report: quotient by (1, 3)" in out

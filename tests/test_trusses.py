@@ -73,6 +73,17 @@ class TestConstruction:
             truss_from_ring(AbGroup.cyclic(4), mul)
         assert err.value.law.startswith("ring.")
 
+    @pytest.mark.parametrize("mul, law, witness", [
+        ([[0, 1, 2], [1, 2, 0]], "truss.shape", None),
+        ([[0, 0, 0], [0, 1, 2], [0, 2, 3]], "truss.closure", (2, 2)),
+    ], ids=["not_square", "off_the_carrier"])
+    def test_a_malformed_ring_table_fails_as_the_truss_reads_it(self, mul, law, witness):
+        """``truss_from_ring`` hands ``mul`` to ``Truss`` unread, so its table
+        errors are the truss's: ``truss.*``, not ``ring.*``."""
+        with pytest.raises(ValidationError) as err:
+            truss_from_ring(AbGroup.cyclic(3), mul)
+        assert (err.value.law, err.value.witness) == (law, witness)
+
     def test_constant_multiplication_is_a_truss(self):
         t = Truss(heap_from_group(AbGroup.cyclic(4)), np.full((4, 4), 2))
         assert truss_law_report(t).ok
