@@ -255,8 +255,11 @@ def ideal_iff_normal_paragon(b, s, truss=None):
     identity; (2) s lies in B/I for some ideal I  iff  s is a normal paragon.
     The ideal side is membership in ``brace_ideals(b)``, the sets that pass
     ``is_brace_ideal``.  A failed equivalence carries the subset as its witness.
+    ``truss`` must carry the brace's tables and side (``ValueError`` otherwise).
     """
     members = _members(s, b.order)
+    if truss is not None and truss != b.truss:  # free on the brace's own arrays
+        raise ValueError("truss does not carry the brace's tables and side")
     t = truss if truss is not None else truss_from_brace(b)
     report = Report("ideal vs normal paragon on %s" % (members,))
     if not members:
@@ -273,7 +276,7 @@ def ideal_iff_normal_paragon(b, s, truss=None):
     report.add("ideal_iff_normal_paragon_with_identity", ok, None if ok else members)
 
     # s lies in B/I exactly when its translate s - s0 through the identity is I
-    shifted = b.add.add[list(members), b.add.neg[members[0]]]
+    shifted = b.add.add[members, b.add.neg[members[0]]]
     in_quotient = tuple(sorted(shifted.tolist())) in ideals
     report.note("member_of_some_quotient=%s" % in_quotient)
     ok = in_quotient == normal_ok

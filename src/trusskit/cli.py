@@ -32,7 +32,7 @@ from .catalog import (
 )
 from .extensions import ExtTruss, extension_clause_report
 from .groups import FiniteGroup, group_from_spec, identification_report, spec_order
-from .heaps import AbGroup, Heap
+from .heaps import AbGroup, Heap, _members
 from .lawcheck import Report, ValidationError
 from .modules import TModule
 from .trusses import (
@@ -128,7 +128,7 @@ def _parse_subset(t, text):
             members.append(int(name))
         else:
             raise ValueError("subset member %r is neither an index nor a label" % name)
-    return members
+    return _members(members, t.order)  # the set is_paragon tests: sorted, distinct
 
 
 def cmd_quotient(args):

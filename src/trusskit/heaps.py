@@ -17,6 +17,8 @@ Every quotient (heaps, trusses, modules, groups) and congruence test goes
 through ``induced_table``: the table a projection induces on its classes,
 read at their smallest members, and the first cell where it is ill-defined.
 Every lattice of closed sets (sub-heaps, brace ideals) comes from ``_closed_sets``.
+Every sub-heap witness comes from ``_subheap_witnesses``: one bracket gather
+over a stack of member sets, read as lists.
 Every subset argument, and every anchor element as ``[e]``, is read by
 ``_members``: sorted distinct ints, or ``ValueError`` for one off the carrier.
 """
@@ -213,7 +215,8 @@ class AbGroup:
         return inherit(AbGroup(add, labels=labels, check=False), self.lawful and other.lawful)
 
     def __eq__(self, other):  # the table decides the order and the zero
-        return isinstance(other, AbGroup) and np.array_equal(self.add, other.add)
+        return isinstance(other, AbGroup) and (self.add is other.add
+                                               or np.array_equal(self.add, other.add))
 
     def __repr__(self):
         return "AbGroup(order=%d, zero=%d)" % (self.order, self.zero)
@@ -434,22 +437,34 @@ def morphism_witness(rows, dom, cod, at=None):
 
 
 def subheap_witness(h, members):
-    """First (a, b, c) over ``members``, in sorted order, with [a, b, c] outside them.
+    """First (a, b, c) over ``members``, in sorted order, with [a, b, c] outside
+    them, or None on a sub-heap: ``_subheap_witnesses`` of the one set.  ``h``
+    is a heap or a truss (``order``, ``bracket_arrays``)."""
+    members = _members(members, h.order)
+    return _subheap_witnesses(h, [members])[0] if members else None
 
-    Returns None when the members form a sub-heap.  A nonempty S is a
-    sub-heap iff [s0, x, y] = s0 - x + y lies in S for all x, y in S: then
-    T = S - s0 holds 0 and u - t for all t, u in T, so -t and u + t, so T is
-    a subgroup and S its coset.  So the |S|^2 slab a = s0 decides, and as
-    s0 comes first, its first failure is the lexicographically first
-    witness over S^3.  ``h`` is a heap or a truss (``order``, ``bracket_arrays``).
-    """
-    s = np.array(_members(members, h.order), dtype=np.int64)
-    if s.size == 0:
-        return None
-    mask = np.zeros(h.order, dtype=bool)
-    mask[s] = True
-    w = grid_witness(mask[h.bracket_arrays(s[0], s[:, None], s[None, :])], True)
-    return None if w is None else (int(s[0]), int(s[w[0]]), int(s[w[1]]))
+
+def _subheap_witnesses(h, sets):
+    """``subheap_witness`` of each row of ``sets``, a (k, s) stack of sorted
+    member sets, s > 0.  A nonempty S is a sub-heap iff [q, x, y] = q - x + y
+    lies in S for all x, y in S, q = min S: then T = S - q holds 0 and u - t
+    for all t, u in T, so -t and u + t, so T is a subgroup and S its coset.
+    So the |S|^2 slab a = q decides, and as q comes first, its first entry
+    outside S, row-major, is the lexicographically first witness over S^3.
+    One (k, s, s) gather serves every set; lists then beat a membership mask
+    on small sets (a few numpy calls, one set lookup per entry)."""
+    sets = np.asarray(sets, dtype=np.int64)
+    grids = h.bracket_arrays(sets[:, :1, None], sets[:, :, None], sets[:, None, :])
+    out = []
+    for row, grid in zip(sets.tolist(), grids.reshape(len(sets), -1).tolist()):
+        inside = set(row)
+        if inside.issuperset(grid):
+            out.append(None)
+        else:  # the first entry outside is the first one holding its value
+            outside = next(itertools.filterfalse(inside.__contains__, grid))
+            x, y = divmod(grid.index(outside), len(row))
+            out.append((row[0], row[x], row[y]))
+    return out
 
 
 def subheap_relation_classes(h, s):
@@ -459,33 +474,28 @@ def subheap_relation_classes(h, s):
     ``ValidationError("subheap.closure")`` with its ``subheap_witness``.
     The class of x is the coset {[x, s0, p] : p in s}, so the classes are
     the distinct rows of one |carrier| x |s| bracket array, ordered by
-    smallest member.  On a lawful heap the rows of s decide the sub-heap (x -
-    s0 + p in s closes s - s0 under +); else ``subheap_witness`` decides.  s
-    is one class and every class has |s| members: a violation raises
-    ``ConsistencyError`` since it cannot happen for a genuine sub-heap.
+    smallest member.  On a lawful heap (the kept verdict, else the retract's
+    scan) they decide the sub-heap: s is the row of s0, and once the rows
+    partition the carrier the row of each s in s holds s, so it is s, and
+    s - s0 + p lies in s for all p.  So only a failed partition, or a heap
+    whose laws fail, asks ``subheap_witness``; without a witness it raises
+    ``ConsistencyError``.
     """
     members = _members(s, h.order)
     if not members:
         raise ValueError("quotient by empty sub-heap undefined")
-    sarr, mask = np.array(members), np.zeros(h.order, dtype=bool)
-    mask[sarr] = True
-    rows = h.bracket_arrays(np.arange(h.order)[:, None], sarr[0], sarr[None, :])
-    if not (h.lawful and mask[rows[sarr]].all()):
+    lawful = h.lawful or h.retract.law_report().ok  # classes are cosets by the group laws
+    sarr = np.array(members)
+    rows = np.sort(h.bracket_arrays(np.arange(h.order)[:, None], sarr[0], sarr[None, :]), axis=1)
+    proj = np.unique(rows[:, 0], return_inverse=True)[1]  # classes by smallest member
+    classes, w = induced_table(proj, rows, axes=(0,))  # w: a row is not its class
+    if not (lawful and w is None
+            and np.array_equal(np.sort(classes, axis=None), np.arange(h.order))):
         if (w := subheap_witness(h, members)) is not None:
             raise ValidationError("subheap.closure", w)
-        if not (h.lawful or h.retract.law_report().ok):  # classes are cosets by the group laws
-            raise ConsistencyError("sub-heap relation classes need a lawful heap")
-    rows = np.sort(rows, axis=1)
-    if (rows[:, 1:] == rows[:, :-1]).any():
-        raise ConsistencyError("sub-heap relation classes are not equal-size cosets")
-    proj = np.unique(rows[:, 0], return_inverse=True)[1]  # classes by smallest member
-    classes, w = induced_table(proj, rows, axes=(0,))
-    if w is not None or not np.array_equal(np.sort(classes, axis=None), np.arange(h.order)):
-        raise ConsistencyError("sub-heap relation classes overlap")  # a row is not its class
-    classes = [tuple(int(v) for v in c) for c in classes]
-    if members not in classes:
-        raise ConsistencyError("sub-heap relation classes are not equal-size cosets")
-    return classes
+        raise ConsistencyError("sub-heap relation classes "
+                               + ("overlap" if lawful else "need a lawful heap"))
+    return [tuple(c) for c in classes.tolist()]
 
 
 def _closer(h, e, maps):

@@ -25,6 +25,7 @@ from .heaps import (
     _members,
     _norm_labels,
     _square_table,
+    _subheap_witnesses,
 )
 from .lawcheck import (HOLDS, ConsistencyError, Report, ValidationError, associativity_witness,
                        inherit)
@@ -97,7 +98,7 @@ class Truss:
             isinstance(other, Truss)
             and self.sided == other.sided
             and self.heap == other.heap
-            and np.array_equal(self.mul, other.mul)
+            and (self.mul is other.mul or np.array_equal(self.mul, other.mul))
         )
 
     def __repr__(self):
@@ -277,7 +278,8 @@ class ParagonReport:
 def is_paragon(t, members):
     """Classify a subset: ideal > two-sided > left/right paragon > none.
 
-    The sub-heap test is ``subheap_witness``'s (|P|^2 brackets, not |P|^3).
+    The sub-heap test is the one in ``heaps._subheap_witnesses`` (|P|^2
+    brackets, not |P|^3); a set that fails it builds no membership mask.
     After it, closure is tested at q = members[0] only (n |P| instead of
     |P|^2 n): lambda_q'(x, p) = [lambda_q(x, p), lambda_q(x, q'), q'] holds
     in any heap, so on a sub-heap one q decides every q (rho alike).
@@ -292,25 +294,20 @@ def is_paragon(t, members):
 
 def _paragon_reports(t, sets):
     """``is_paragon`` of each row of ``sets``, a (k, s) array of sorted member
-    sets of one size: one (k, n, s) array per law decides all k sets.  Row
-    i of the flat membership mask, offset i n, holds set i."""
+    sets of one size: ``heaps._subheap_witnesses`` sorts out the sub-heaps,
+    then one (k', n, s) array per law decides the k' of them.  Row i of the
+    flat membership mask, offset i n, holds sub-heap i."""
     sets = np.asarray(sets, dtype=np.int64)
+    out = [None if w is None else ParagonReport("none", failures={"subheap": w})
+           for w in _subheap_witnesses(t, sets)]
+    live = [j for j, r in enumerate(out) if r is None]  # closure is decided on these only
+    if not live:
+        return out
+    sets = sets[live]
     (k, s), n, two = sets.shape, t.order, t.sided == TWO_SIDED
     off, rows, q = np.arange(0, k * n, n)[:, None, None], sets.tolist(), sets[:, :1, None]
     mask = np.zeros(k * n, dtype=bool)
     mask[sets + off[:, 0]] = True
-    out, live = [], []
-    sub = mask[t.bracket_arrays(q, sets[:, :, None], sets[:, None, :]) + off]
-    for j, ok in enumerate(sub.all(axis=(1, 2)).tolist()):
-        if ok:  # closure is decided on the sub-heaps only
-            out.append(None)
-            live.append(j)
-            continue
-        x, y = divmod(int(sub[j].argmin()), s)
-        row = rows[j]
-        out.append(ParagonReport("none", failures={"subheap": (row[0], row[x], row[y])}))
-    if not live:
-        return out
     # inside[i, law, x, p]: x p, p x, lambda_q(x, p) = [x p, x q, q] and
     # rho_q(p, x) = [p x, q x, q] lie in set i, for p in it and q its first
     idx = np.arange(n)[:, None]
@@ -320,21 +317,21 @@ def _paragon_reports(t, sets):
     translates = t.bracket_arrays(prods, at_q, q[:, None])
     inside = mask[np.concatenate([prods, translates], axis=1) + off[:, None]]
     left_in, right_in, lam_ok, rho_ok = inside.all(axis=(2, 3)).T.tolist()
-    for j in live:
-        row, failures = rows[j], {}
-        lam_j, rho_j, ideal = lam_ok[j], two and rho_ok[j], two and left_in[j] and right_in[j]
-        if not lam_j:
-            x, p = divmod(int(inside[j, 2].argmin()), s)
+    for i, j in enumerate(live):
+        row, failures = rows[i], {}
+        lam, rho, ideal = lam_ok[i], two and rho_ok[i], two and left_in[i] and right_in[i]
+        if not lam:
+            x, p = divmod(int(inside[i, 2].argmin()), s)
             failures["lambda"] = (row[0], x, row[p])
-        if two and not rho_j:
-            p, x = divmod(int(inside[j, 3].T.argmin()), n)
+        if two and not rho:
+            p, x = divmod(int(inside[i, 3].T.argmin()), n)
             failures["rho"] = (row[0], row[p], x)
-        if ideal and not (lam_j and rho_j):
+        if ideal and not (lam and rho):
             raise ConsistencyError("an ideal failed paragon closure; theory violated")
-        kind = ("ideal" if ideal else "two-sided" if lam_j and rho_j else "left" if lam_j
-                else "right" if rho_j else "none")
+        kind = ("ideal" if ideal else "two-sided" if lam and rho else "left" if lam
+                else "right" if rho else "none")
         out[j] = ParagonReport(kind, None if kind == "none" else Paragon(t, row, kind), failures,
-                               translates[j])
+                               translates[i])
     return out
 
 

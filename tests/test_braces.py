@@ -200,16 +200,38 @@ class TestNormalParagonCharacterisation:
         assert rep.ok, rep.render()
 
     def test_failed_check_names_the_subset(self):
-        # a zero-ring truss on the Klein group is not the truss of the Z_4
-        # brace, so {0, 1} is a normal paragon there but not an ideal here
-        b = za4_brace()
-        klein = AbGroup([[a ^ c for c in range(4)] for a in range(4)])
-        t = truss_from_ring(klein, [[0] * 4] * 4)
-        rep = ideal_iff_normal_paragon(b, [1, 0], truss=t)
+        # the za(2, 4) brace with one product cell corrupted (1 . 2 = 1), built
+        # unscanned: {0, 2} passes the ideal test but is no normal paragon
+        b0 = za4_brace()
+        mul = np.array(b0.mul.mul)
+        mul[1, 2] = 1
+        b = Brace(b0.add, FiniteGroup(mul, check=False), check=False)
+        rep = ideal_iff_normal_paragon(b, [2, 0], truss=b.truss)
+        assert rep.notes[0] == "ideal=True normal_paragon=False contains_identity=True"
         assert [(c.name, c.witness) for c in rep.failures()] == [
-            ("ideal_iff_normal_paragon_with_identity", (0, 1)),
-            ("quotient_member_iff_normal_paragon", (0, 1)),
+            ("ideal_iff_normal_paragon_with_identity", (0, 2)),
+            ("quotient_member_iff_normal_paragon", (0, 2)),
         ]
+
+    @pytest.mark.parametrize("brace,truss,subset", [
+        (lambda: brace_from_truss(za_truss(2, 8)), lambda: truss_from_brace(brace16()), [0, 4]),
+        (brace16, lambda: za_truss(2, 8), [0, 4]),
+        # a zero-ring truss on the Klein group is not the truss of the Z_4 brace
+        (za4_brace, lambda: truss_from_ring(AbGroup([[a ^ c for c in range(4)] for a in range(4)]),
+                                            [[0] * 4] * 4), [0, 1]),
+        (za4_brace, lambda: Truss(za4_brace().truss.heap, za4_brace().truss.mul, sided="left"),
+         [0, 2]),
+    ], ids=["za8_with_order_16_truss", "order_16_with_za8_truss", "za4_with_klein_zero_ring",
+            "za4_with_its_left_truss"])
+    def test_a_truss_without_the_braces_tables_is_rejected(self, brace, truss, subset):
+        with pytest.raises(ValueError, match="^truss does not carry the brace's tables and side$"):
+            ideal_iff_normal_paragon(brace(), subset, truss=truss())
+
+    def test_an_equal_truss_built_apart_is_accepted(self):
+        b = za4_brace()
+        t = Truss(heap_from_group(AbGroup(np.array(b.add.add))), np.array(b.mul.mul))
+        assert t.mul is not b.truss.mul and t == b.truss
+        assert ideal_iff_normal_paragon(b, [0, 2], truss=t).ok
 
     def test_socle_cosets_are_paragons_in_truss(self):
         from trusskit import is_paragon

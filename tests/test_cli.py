@@ -950,6 +950,19 @@ def test_quotient_by_digit_labels_that_are_not_their_indices(tmp_path, capsys):
     assert by_index[0] == 0 and by_index[1].splitlines()[1:] == out.splitlines()[1:]
 
 
+def test_quotient_title_names_the_set_it_tests(tmp_path, capsys):
+    """The title lists the sorted distinct members, not the names as typed:
+    on Z_2[x]/(x^2) "3,1,1" names 1+x, then the label 1 (index 2) twice."""
+    from trusskit import trunc_poly_truss
+
+    path = tmp_path / "poly1_2.json"
+    jsonio.write_file(path, trunc_poly_truss(1, 2).truss)
+    code, out = run_cli(["quotient", str(path), "3,1,1"], capsys)
+    assert code == 0 and "report: quotient by (2, 3)" in out.splitlines()
+    by_label = run_cli(["quotient", str(path), "1,1+x"], capsys)[1]
+    assert out.splitlines()[1:] == by_label.splitlines()[1:]
+
+
 def test_quotient_by_digits_on_a_file_labelled_by_its_indices(z4_file, capsys):
     """On Z_4 every label is its own index, so a digit reads the same either way."""
     assert jsonio.read_file(z4_file).labels == ("0", "1", "2", "3")
